@@ -7,7 +7,7 @@ Subcommands::
     timber-py query db.xml --plan groupby --query-file q.xq --timeout 5
     timber-py explain db.xml --query-file q.xq
     timber-py serve db.xml --port 8491 --workers 8 --drain-seconds 5
-    timber-py experiment e1|e2|e3|a1|a2|a3 [--articles N --authors M]
+    timber-py experiment e1|e2|e3|a1|a2|a3 [--articles N --authors M] [--record PATH]
 
 Exit codes: 0 success, 1 failure (e.g. verify found damage), 2 query
 deadline exceeded (``--timeout``), 3 a ``serve`` drain that had to
@@ -211,6 +211,11 @@ def main(argv: list[str] | None = None) -> int:
         "which", choices=("e1", "e2", "e3", "a1", "a2", "a3"), help="experiment id"
     )
     _add_config_args(experiment)
+    experiment.add_argument(
+        "--record",
+        metavar="PATH",
+        help="also write the run's benchmark trajectory (JSON) to PATH",
+    )
 
     args = parser.parse_args(argv)
 
@@ -397,11 +402,12 @@ def main(argv: list[str] | None = None) -> int:
         print(format_report(run_ablation_grouping_strategies(config)))
     else:
         print(format_report(run_ablation_buffer_pool(config)))
-    from .bench.trajectory import write_trajectory
+    if args.record:
+        from .bench.trajectory import write_trajectory
 
-    written = write_trajectory()
-    if written is not None:
-        print(f"trajectory written to {written}", file=sys.stderr)
+        written = write_trajectory(args.record)
+        if written is not None:
+            print(f"trajectory written to {written}", file=sys.stderr)
     return 0
 
 

@@ -715,10 +715,10 @@ class ClusterCoordinator:
                 f"  slice {slot.index}: shard {slot.primary}{note}{extra}"
             )
         lines.append(f"merge: {merge_line}")
-        # The rewritten shard query usually falls outside the two-item
-        # GROUPBY shape the translator accepts, so fall back to
-        # explaining the original query (same grouping structure).
-        local = self._explain_local(placement, [shard_text, text], verbose)
+        # The rewritten shard query falls outside the two-item GROUPBY
+        # shape the translator accepts, so shards report (and run) it
+        # as ``plan: direct``.
+        local = self._explain_local(placement, shard_text, verbose)
         # Roll the shard's cost-model statistics version up into the
         # cluster section, so a cross-shard plan is traceable to the
         # statistics it was costed against.
@@ -745,46 +745,35 @@ class ClusterCoordinator:
         }
         return local.with_section("cluster plan", "\n".join(lines), **payload)
 
-    def _explain_local(self, placement, texts, verbose) -> Explanation:
-        """A representative shard's explanation, trying each candidate
-        query text in order (the rewritten shard query, then the
-        original when the rewrite is untranslatable)."""
+    def _explain_local(self, placement, shard_text, verbose) -> Explanation:
+        """A representative shard's explanation of the query the shards
+        would actually run."""
         last_error: Exception | None = None
-        for candidate in texts:
-            for slot in placement.slices:
-                for shard in self._candidate_order(slot):
-                    text = (
-                        candidate
-                        if shard == slot.primary
-                        else rename_document(
-                            candidate,
-                            {
-                                placement.name: replica_alias(
-                                    placement.name, slot.index
-                                )
-                            },
-                        )
+        for slot in placement.slices:
+            for shard in self._candidate_order(slot):
+                text = (
+                    shard_text
+                    if shard == slot.primary
+                    else rename_document(
+                        shard_text,
+                        {placement.name: replica_alias(placement.name, slot.index)},
                     )
-                    try:
-                        reply = self._clients[shard].call(
-                            "EXPLAIN", {"q": text, "verbose": verbose}
-                        )
-                    except RemoteError as error:
-                        # The shard answered: the text doesn't explain.
-                        self._record_success(shard)
-                        last_error = error
-                        break  # same outcome everywhere; next candidate
-                    except Exception as error:  # noqa: BLE001
-                        self._record_failure(shard)
-                        last_error = error
-                        continue
+                )
+                try:
+                    reply = self._clients[shard].call(
+                        "EXPLAIN", {"q": text, "verbose": verbose}
+                    )
+                except RemoteError as error:
+                    # The shard answered: the text doesn't explain, and
+                    # the outcome is the same everywhere.
                     self._record_success(shard)
-                    return Explanation(reply.get("text", ""), reply)
-                else:
+                    return Explanation(f"(no shard plan: {error})", {})
+                except Exception as error:  # noqa: BLE001
+                    self._record_failure(shard)
+                    last_error = error
                     continue
-                break  # RemoteError: skip remaining slices for this text
-        if isinstance(last_error, RemoteError):
-            return Explanation(f"(no shard plan: {last_error})", {})
+                self._record_success(shard)
+                return Explanation(reply.get("text", ""), reply)
         raise ShardUnavailableError(
             f"no shard could explain against {placement.name!r}"
         ) from last_error

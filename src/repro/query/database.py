@@ -595,14 +595,25 @@ class Database:
         """The candidate plans for a query, *without* executing it.
 
         Returns an :class:`Explanation`: usable as plain text, with
-        ``to_dict()`` for programmatic consumers.  ``verbose=True``
+        ``to_dict()`` for programmatic consumers.  A query outside the
+        translatable grouping family reports ``plan: direct`` with the
+        translator's reason.  ``verbose=True``
         annotates every operator with the optimizer's row/cost
         estimates and appends the plan comparison.  All options are
         keyword-only — the pre-redesign positional form was removed in
         the columnar API unification.
         """
         expr = self.parse(text)
-        naive, grouped = self.plans_for(text)
+        try:
+            naive, grouped = self.plans_for(text)
+        except TranslationError as exc:
+            # Outside the grouping family: ``auto`` answers it with the
+            # direct interpreter, so that is the plan to report.
+            reason = str(exc)
+            return Explanation(
+                f"=== plan ===\nplan: direct (direct interpreter; {reason})",
+                {"query": text, "plan": "direct", "reason": reason},
+            )
         strategy = self._match_strategy_status()
         payload: dict = {
             "query": text,

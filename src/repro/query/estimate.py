@@ -275,10 +275,15 @@ class CardinalityEstimator:
             if count_mode:
                 # Late materialization: only the group/basis nodes.
                 return rows, rows
-            # Values mode navigates each member's subtree to reach and
-            # materialize the output path.
-            member_tag = self._member_tag(node)
-            return rows, rows + members * self.avg_subtree_size(member_tag)
+            if op == "stitch":
+                # The naive plan walks each member's subtree, tuple at
+                # a time, to reach and materialize the output path.
+                fetched_tag = self._member_tag(node)
+            else:
+                # The GROUPBY plan reaches the output path on labels
+                # and fetches only the reached nodes' subtrees.
+                fetched_tag = self._output_tag(spec.member_path, self._member_tag(node))
+            return rows, rows + members * self.avg_subtree_size(fetched_tag)
         if op == "nested_groups":
             return self._estimate_nested_groups(node, child_estimates)
         if op == "rename_root":
@@ -308,7 +313,9 @@ class CardinalityEstimator:
         member_tag = self._member_tag_from(node.inputs[2])
         members = self._members_from(node.inputs[2])
         if spec.mode == "values":
-            construct += members * self.avg_subtree_size(member_tag)
+            construct += members * self.avg_subtree_size(
+                self._output_tag(spec.member_path, member_tag)
+            )
         else:
             construct += members
         return outer_rows, link_cost + probe_cost + construct
@@ -332,6 +339,13 @@ class CardinalityEstimator:
             if candidate.op == "groupby":
                 return candidate.params["pattern"].root.predicate.tag_constraint()
         return None
+
+    @staticmethod
+    def _output_tag(member_path: tuple[str, ...], member_tag: str | None) -> str | None:
+        """The tag of the nodes a values-mode GROUPBY plan fetches: the
+        last ``member_path`` step, or the member itself for an empty
+        path."""
+        return member_path[-1] if member_path else member_tag
 
     def _member_estimate(self, node: PlanNode) -> float:
         """Expected total group members feeding a construction step."""

@@ -15,7 +15,10 @@ everything as node identifiers until output:
 * **left outer join** — the naive plan's nested-loops value join; its
   cost is the paper's baseline cost;
 * **construction** — the final step populates exactly the values the
-  output needs (titles, or nothing at all for COUNT).
+  output needs (titles, or nothing at all for COUNT).  The GROUPBY
+  plan reaches the output path of every member in one label-only
+  descent and populates the whole result in one page-ordered fetch;
+  the naive plan navigates and materializes tuple at a time.
 
 The grouping step supports three strategies for ablation A2:
 
@@ -28,6 +31,7 @@ The grouping step supports three strategies for ablation A2:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, Iterable, Iterator
 
 from ..cancellation import checkpoint
 from ..errors import TranslationError
@@ -39,6 +43,7 @@ from ..pattern.witness import StoreMatch
 from ..storage.store import NodeStore
 from ..xmlmodel.node import XMLNode
 from ..xmlmodel.tree import Collection, DataTree
+from .physical_join_support import descend_path
 from .plan import GroupOutputSpec, PlanNode, StitchSpec
 
 
@@ -82,6 +87,36 @@ class GroupedSet:
     basis_label: str
     groups: list[tuple[str, StoreMatch, list[StoreMatch]]] = field(default_factory=list)
     # (value, exemplar witness for the basis node, ordered members)
+
+
+@dataclass
+class OutputShell:
+    """An output element that still holds identifiers: stored nodes as
+    nids, constructed children as nested shells.  Construction fills
+    every shell of a result from one batched fetch."""
+
+    tag: str
+    items: list["int | OutputShell"]
+    text: str | None = None
+
+    def nids(self) -> Iterator[int]:
+        """The stored nodes this shell needs, in output order."""
+        for item in self.items:
+            if isinstance(item, OutputShell):
+                yield from item.nids()
+            else:
+                yield item
+
+    def build(self, nodes: Iterator[XMLNode]) -> XMLNode:
+        """The element, drawing its stored nodes from ``nodes`` (which
+        must follow :meth:`nids` order)."""
+        root = XMLNode(self.tag)
+        for item in self.items:
+            root.append_child(
+                item.build(nodes) if isinstance(item, OutputShell) else next(nodes)
+            )
+        root.content = self.text
+        return root
 
 
 class PhysicalExecutor:
@@ -370,7 +405,7 @@ class PhysicalExecutor:
         ordered_values = sorted(groups, key=lambda value: groups[value][0][0])
         result = GroupedSet(pattern, basis_label)
         root_label = pattern.root.label
-        ordering = plan.params.get("ordering") or []
+        sort_keys = self._sort_keys(witnesses, plan.params.get("ordering"), root_label)
         for value in ordered_values:
             members: list[StoreMatch] = []
             seen_sources: set[int] = set()
@@ -383,35 +418,74 @@ class PhysicalExecutor:
             # The exemplar (the ``{$g}`` rep) is the first witness in
             # document order — SORTBY only reorders the members.
             exemplar = members[0]
-            members = self._order_members(members, ordering, root_label)
+            members = self._order_members(members, sort_keys, root_label)
             result.groups.append((value, exemplar, members))
         return result
+
+    def _sort_keys(
+        self,
+        witnesses: list[StoreMatch],
+        ordering: list[tuple[tuple[str, ...], str]] | None,
+        root_label: str,
+    ) -> list[tuple[dict[int, object], bool]]:
+        """Resolve the GROUPBY ordering list for every member at once:
+        one label-only path descent per sort path, then one value
+        lookup per member (Sec. 5.3: "we populate only the grouping
+        (and sorting) list values").  Each entry maps member nid to its
+        sort key, with the descending flag.  Paths are resolved from
+        the member root; a member lacking the sort path sorts as the
+        empty string rather than being excluded."""
+        from ..core.base import numeric_or_text
+
+        if not ordering:
+            return []
+        members = self._member_labels(witnesses, root_label)
+        keys: list[tuple[dict[int, object], bool]] = []
+        for path, direction in ordering:
+            reached = self._descend(members, path)
+            values = {
+                nid: numeric_or_text(
+                    (self.store.content(labels[0].nid) or "") if labels else ""
+                )
+                for nid, labels in reached.items()
+            }
+            keys.append((values, direction == "DESCENDING"))
+        return keys
 
     def _order_members(
         self,
         members: list[StoreMatch],
-        ordering: list[tuple[tuple[str, ...], str]],
+        sort_keys: list[tuple[dict[int, object], bool]],
         root_label: str,
     ) -> list[StoreMatch]:
-        """Apply the GROUPBY ordering list: navigate only the ordering
-        values (Sec. 5.3: "we populate only the grouping (and sorting)
-        list values") and sort stably, leftmost key primary.  Paths are
-        resolved from the member root; a member lacking the sort path
-        sorts as the empty string rather than being excluded."""
-        from ..core.base import numeric_or_text
-
-        if not ordering:
-            return members
+        """Sort stably by the resolved keys, leftmost key primary."""
         ordered = members
-        for path, direction in reversed(ordering):
+        for values, descending in reversed(sort_keys):
             ordered = sorted(
                 ordered,
-                key=lambda match: numeric_or_text(
-                    self._navigated_value(match.nid(root_label), path)
-                ),
-                reverse=direction == "DESCENDING",
+                key=lambda match: values[match.nid(root_label)],
+                reverse=descending,
             )
         return list(ordered)
+
+    def _member_labels(
+        self, matches: Iterable[StoreMatch], root_label: str
+    ) -> list[NodeLabel]:
+        """The distinct member-root labels of ``matches``, start-sorted."""
+        return sorted(
+            {match.bindings[root_label] for match in matches},
+            key=lambda label: label.start,
+        )
+
+    def _descend(
+        self, member_labels: list[NodeLabel], path: tuple[str, ...]
+    ) -> dict[int, list[NodeLabel]]:
+        """Map each member nid to the labels ``path`` reaches below it,
+        in document order — one structural join per path step for all
+        members together (labels only, no record or data access)."""
+        return descend_path(
+            self.indexes, member_labels, path, columnar=self.matcher.columnar
+        )
 
     def _group_by_value_index(
         self,
@@ -440,8 +514,8 @@ class PhysicalExecutor:
         for index, match in enumerate(witnesses):
             by_basis_nid.setdefault(match.nid(basis_label), []).append((index, match))
 
-        ordering = plan.params.get("ordering") or []
         root_label = pattern.root.label
+        sort_keys = self._sort_keys(witnesses, plan.params.get("ordering"), root_label)
         staged: list[tuple[int, str, list[StoreMatch]]] = []
         for value, postings in self.indexes.distinct_values(basis_tag):
             collected: list[tuple[int, StoreMatch]] = []
@@ -463,7 +537,7 @@ class PhysicalExecutor:
                 seen_sources.add(source_nid)
                 members.append(match)
             exemplar = members[0]  # doc-order rep, before SORTBY ordering
-            members = self._order_members(members, ordering, root_label)
+            members = self._order_members(members, sort_keys, root_label)
             staged.append((collected[0][0], value, exemplar, members))
 
         # First-appearance order, like every other strategy.
@@ -559,22 +633,20 @@ class PhysicalExecutor:
             group_node = self._materialize_binding(exemplars[value], source.left_label)
             group_members = self._order_joined(groups[value], source.right_label, spec)
             member_nids = [match.nid(source.right_label) for match in group_members]
+            # Tuple-at-a-time navigation per member — the baseline's
+            # way of reaching the output-path nodes.
+            reached = [
+                target
+                for nid in member_nids
+                for target in self._navigate_nids(nid, member_path)
+            ]
+            tree = XMLNode(spec.return_tag)
+            tree.append_child(group_node)
             if mode == "values":
-                members = [
-                    self._materialize_member(nid, member_path) for nid in member_nids
-                ]
-                tree = _assemble_values(spec.return_tag, group_node, members)
+                for target in reached:
+                    tree.append_child(self.store.materialize(target, with_content=True))
             else:
-                # Tuple-at-a-time navigation per member — the baseline's
-                # way of reaching the output-path nodes.
-                reached = [
-                    target
-                    for nid in member_nids
-                    for target in self._navigate_nids(nid, member_path)
-                ]
-                tree = _assemble_aggregate(
-                    spec.return_tag, group_node, self._aggregate_text(mode, reached)
-                )
+                tree.content = self._aggregate_text(mode, reached)
             output.append(DataTree(tree))
         return output
 
@@ -619,14 +691,7 @@ class PhysicalExecutor:
         return list(ordered)
 
     def _navigated_value(self, nid: int, path: tuple[str, ...]) -> str:
-        frontier = [nid]
-        for name in path:
-            frontier = [
-                child
-                for current in frontier
-                for child in self.store.children(current)
-                if self.store.tag(child) == name
-            ]
+        frontier = self._navigate_nids(nid, path)
         if not frontier:
             return ""
         return self.store.content(frontier[0]) or ""
@@ -636,81 +701,43 @@ class PhysicalExecutor:
         if not isinstance(source, GroupedSet):
             raise TranslationError("physical project_groups expects groups")
         spec: GroupOutputSpec = plan.params["spec"]
-        root_label = source.pattern.root.label
 
-        outer_matches: list[StoreMatch] | None = None
-        outer_label: str | None = None
-        if len(plan.inputs) == 2:
+        # One (group node nid, members) entry per output element.
+        if len(plan.inputs) == 1:
+            emitted = [
+                (exemplar.nid(source.basis_label), members)
+                for _value, exemplar, members in source.groups
+            ]
+        else:
             # Padding input: the outer distinct values (filters can
-            # orphan a grouping value; it still appears, empty).
+            # orphan a grouping value; it still appears, empty) — one
+            # element per outer distinct value, in the outer (document)
+            # order.
             outer = self._run(plan.inputs[1])
             if not isinstance(outer, WitnessSet):
                 raise TranslationError("project_groups padding expects witnesses")
             outer_label = self._projected_group_label(outer)
-            outer_matches = outer.matches
-
-        reached_by_member: dict[int, list[NodeLabel]] = {}
-        if spec.mode != "values":
-            # Identifier-only navigation: reach the output-path nodes of
-            # every member with structural joins over index label
-            # streams — no record or data access.  COUNT then never
-            # touches a page ("we can perform the count without
-            # physically instantiating the book elements"); the numeric
-            # aggregates fetch only the reached nodes' values.
-            all_members = sorted(
-                {match.bindings[root_label] for _, _, ms in source.groups for match in ms},
-                key=lambda label: label.start,
-            )
-            reached_by_member = self._reach_path_via_joins(all_members, spec.member_path)
-
-        def build(group_node: XMLNode, members: list[StoreMatch]) -> XMLNode:
-            if spec.mode == "values":
-                member_nodes = [
-                    self._materialize_member(match.nid(root_label), spec.member_path)
-                    for match in members
-                ]
-                return _assemble_values(spec.return_tag, group_node, member_nodes)
-            reached = [
-                label
-                for match in members
-                for label in reached_by_member.get(match.nid(root_label), ())
-            ]
-            if spec.mode == "count":
-                text: str | None = str(len(reached))
-            else:
-                from ..core.aggregation import AggregateFunction
-
-                values = [self.store.content(label.nid) or "" for label in reached]
-                rendered = AggregateFunction(spec.mode.upper()).compute(values)
-                text = rendered if rendered else None
-            return _assemble_aggregate(spec.return_tag, group_node, text)
-
-        output = Collection(name="project-groups")
-        if outer_matches is None:
-            for _value, exemplar, members in source.groups:
-                node = build(
-                    self._materialize_binding(exemplar, source.basis_label), members
-                )
-                output.append(DataTree(node))
-            return output
-
-        # Padded emission: one element per outer distinct value, in the
-        # outer (document) order.
-        assert outer_label is not None
-        groups_by_value = {
-            value: (exemplar, members) for value, exemplar, members in source.groups
-        }
-        for match in outer_matches:
-            value = self._populate(match, outer_label)
-            entry = groups_by_value.get(value)
-            members = entry[1] if entry is not None else []
+            members_by_value = {
+                value: members for value, _exemplar, members in source.groups
+            }
             # The ``{$g}`` rep is always the outer distinct occurrence
             # (first in document order over the *unfiltered* data): the
             # group exemplar ranges only over the filtered witnesses and
             # can be a different node with a different subtree.
-            node = build(self._materialize_binding(match, outer_label), members)
-            output.append(DataTree(node))
-        return output
+            emitted = [
+                (
+                    match.nid(outer_label),
+                    members_by_value.get(self._populate(match, outer_label), []),
+                )
+                for match in outer.matches
+            ]
+
+        reach = self._member_reach(source, spec.member_path)
+        shells = [
+            self._group_shell(spec.return_tag, group_nid, reach(members), spec.mode)
+            for group_nid, members in emitted
+        ]
+        return self._construct(shells, "project-groups")
 
     def _exec_nested_groups(self, plan: PlanNode) -> Collection:
         """Join-graph isolation output: re-correlate the three isolated
@@ -726,57 +753,87 @@ class PhysicalExecutor:
         spec = plan.params["spec"]
         outer_label = self._projected_group_label(outer)
         middle_label = self._projected_group_label(middle)
-        root_label = grouped.pattern.root.label
         groups_by_value = {
             value: members for value, _exemplar, members in grouped.groups
         }
+        reach = self._member_reach(grouped, spec.member_path)
 
         # Populate each middle representative's link values once — the
         # representative is the *first occurrence* of the distinct value,
         # exactly the node the middle FOR binds.
-        middle_entries: list[tuple[StoreMatch, str, set[str]]] = []
+        middle_entries: list[tuple[int, list[int], set[str]]] = []
         for match in middle.matches:
             checkpoint()
             link_values = {
                 self.store.content(nid) or ""
                 for nid in self._navigate_nids(match.nid(middle_label), spec.link_path)
             }
-            middle_entries.append((match, self._populate(match, middle_label), link_values))
+            members = groups_by_value.get(self._populate(match, middle_label), [])
+            middle_entries.append((match.nid(middle_label), reach(members), link_values))
 
-        output = Collection(name="nested-groups")
+        shells: list[OutputShell] = []
         for outer_match in outer.matches:
             checkpoint()
             outer_value = self._populate(outer_match, outer_label)
-            element = XMLNode(spec.outer_tag)
-            element.append_child(self._materialize_binding(outer_match, outer_label))
-            for middle_match, middle_value, link_values in middle_entries:
-                if outer_value not in link_values:
-                    continue
-                members = groups_by_value.get(middle_value, [])
-                group_node = self._materialize_binding(middle_match, middle_label)
-                if spec.mode == "values":
-                    member_nodes = [
-                        self._materialize_member(m.nid(root_label), spec.member_path)
-                        for m in members
-                    ]
-                    inner_element = _assemble_values(
-                        spec.middle_tag, group_node, member_nodes
-                    )
-                else:
-                    reached = [
-                        target
-                        for member in members
-                        for target in self._navigate_nids(
-                            member.nid(root_label), spec.member_path
-                        )
-                    ]
-                    inner_element = _assemble_aggregate(
-                        spec.middle_tag,
-                        group_node,
-                        self._aggregate_text(spec.mode, reached),
-                    )
-                element.append_child(inner_element)
-            output.append(DataTree(element))
+            shell = OutputShell(spec.outer_tag, [outer_match.nid(outer_label)])
+            shell.items.extend(
+                self._group_shell(spec.middle_tag, middle_nid, reached, spec.mode)
+                for middle_nid, reached, link_values in middle_entries
+                if outer_value in link_values
+            )
+            shells.append(shell)
+        return self._construct(shells, "nested-groups")
+
+    def _member_reach(
+        self, grouped: GroupedSet, member_path: tuple[str, ...]
+    ) -> Callable[[list[StoreMatch]], list[int]]:
+        """Resolve ``member_path`` for all members of all groups in one
+        descent; returns ``members -> reached nids`` (members in their
+        group order, each member's targets in document order).
+
+        Identifier-only: COUNT then never touches a page ("we can
+        perform the count without physically instantiating the book
+        elements"), the numeric aggregates fetch only the reached
+        nodes' values, and values mode fetches exactly the nodes it
+        emits."""
+        root_label = grouped.pattern.root.label
+        reached = self._descend(
+            self._member_labels(
+                (match for _, _, members in grouped.groups for match in members),
+                root_label,
+            ),
+            member_path,
+        )
+
+        def reach(members: list[StoreMatch]) -> list[int]:
+            return [
+                label.nid
+                for match in members
+                for label in reached[match.nid(root_label)]
+            ]
+
+        return reach
+
+    def _group_shell(
+        self, tag: str, group_nid: int, reached: list[int], mode: str
+    ) -> OutputShell:
+        """One group's output element: the grouping node, then the
+        reached nodes themselves (``values``) or their aggregate."""
+        if mode == "values":
+            return OutputShell(tag, [group_nid, *reached])
+        return OutputShell(tag, [group_nid], self._aggregate_text(mode, reached))
+
+    def _construct(self, shells: list[OutputShell], name: str) -> Collection:
+        """Late value population (Sec. 5.3): one page-ordered fetch for
+        every stored node the whole result emits, then assembly."""
+        nodes = iter(
+            self.store.materialize_many(
+                [nid for shell in shells for nid in shell.nids()]
+            )
+        )
+        output = Collection(name=name)
+        for shell in shells:
+            output.append(DataTree(shell.build(nodes)))
         return output
 
     def _projected_group_label(self, witnesses: WitnessSet) -> str:
@@ -795,21 +852,6 @@ class PhysicalExecutor:
             return candidates[0]
         return witnesses.pattern.nodes()[-1].label
 
-    def _reach_path_via_joins(
-        self, member_labels: list[NodeLabel], path: tuple[str, ...]
-    ) -> dict[int, list[NodeLabel]]:
-        """Map each member nid to its output-path node labels, using one
-        structural join per path step (labels only).
-
-        Assumes members do not nest inside one another (true for the
-        grouped-element collections the plans produce).
-        """
-        from .physical_join_support import descend_path
-
-        return descend_path(
-            self.indexes, member_labels, path, columnar=self.matcher.columnar
-        )
-
     # ------------------------------------------------------------------
     # Value population and materialization
     # ------------------------------------------------------------------
@@ -826,38 +868,3 @@ class PhysicalExecutor:
         """Materialize a bound node *with its subtree* — ``{$a}`` returns
         the full element (Fig. 5.d stars the grouping element)."""
         return self.store.materialize(match.nid(label), with_content=True)
-
-    def _materialize_member(self, nid: int, path: tuple[str, ...]) -> list[XMLNode]:
-        """Navigate ``path`` below ``nid`` by child steps and materialize
-        the reached nodes with their values."""
-        frontier = [nid]
-        for name in path:
-            next_frontier: list[int] = []
-            for current in frontier:
-                next_frontier.extend(
-                    child
-                    for child in self.store.children(current)
-                    if self.store.tag(child) == name
-                )
-            frontier = next_frontier
-        return [self.store.materialize(target, with_content=True) for target in frontier]
-
-
-def _assemble_values(
-    return_tag: str, group_node: XMLNode, member_lists: list[list[XMLNode]]
-) -> XMLNode:
-    root = XMLNode(return_tag)
-    root.append_child(group_node)
-    for nodes in member_lists:
-        for node in nodes:
-            root.append_child(node)
-    return root
-
-
-def _assemble_aggregate(
-    return_tag: str, group_node: XMLNode, text: str | None
-) -> XMLNode:
-    root = XMLNode(return_tag)
-    root.append_child(group_node)
-    root.content = text
-    return root

@@ -29,8 +29,10 @@ def descend_path(
     """Map each start nid to the labels reached by following ``path``
     with parent-child steps.
 
-    ``starts`` must be start-sorted and non-nesting (each reached node
-    then has exactly one owning start node).
+    ``starts`` must be start-sorted and distinct; they may nest inside
+    one another (a child step gives each reached node exactly one
+    parent, hence one owning start).  Each start's reached labels come
+    back in document order.
     """
     if columnar is not None:
         reached = _descend_path_columnar(indexes, starts, path, columnar)

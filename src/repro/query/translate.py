@@ -307,8 +307,18 @@ def _return_constructor(ret: Expr) -> ElementConstructor:
 
 
 def _embedded_args(constructor: ElementConstructor, outer_var: str) -> dict[str, Expr]:
-    embedded = [item for item in constructor.items if isinstance(item, EmbeddedExpr)]
-    if len(embedded) != 2:
+    """The two embedded expressions of a grouping RETURN constructor.
+
+    The grouping plans construct ``<tag>{outer}{inner}</tag>`` and
+    nothing else, so a constructor that also carries attributes,
+    literal text or nested elements is refused (``auto`` then answers
+    it with the direct interpreter) rather than translated with those
+    parts silently dropped.  Whitespace between items is not content:
+    the parser never emits it."""
+    if constructor.attributes:
+        raise TranslationError("RETURN constructor attributes are not translatable")
+    embedded = constructor.items
+    if len(embedded) != 2 or not all(isinstance(item, EmbeddedExpr) for item in embedded):
         raise TranslationError("RETURN must have exactly two embedded expressions")
     first = embedded[0].expr
     if not isinstance(first, VarRef) or first.name != outer_var:

@@ -18,11 +18,12 @@ both kinds of access so benchmarks can report them.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import os
 import shutil
 import time
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
 
 from ..cancellation import checkpoint
 from ..errors import DatabaseError, RecoveryError, StorageError, TransientIOError
@@ -479,15 +480,21 @@ class NodeStore:
     # ------------------------------------------------------------------
     def record(self, nid: int) -> NodeRecord:
         """Fetch and decode the record for ``nid`` (one logical lookup)."""
+        page_id, slot = self._locate_readable(nid)
+        page = self.pool.get_page(page_id)
+        self.counters.record_lookups += 1
+        return decode_record(page.read_record(slot))
+
+    def _locate_readable(self, nid: int) -> tuple[int, int]:
+        """``(page_id, slot)`` of ``nid``; a quarantined page raises
+        :class:`RecoveryError` instead of surfacing raw corruption."""
         page_id, slot = self.meta.locate(nid)
         if page_id in self.meta.quarantined_pages:
             raise RecoveryError(
                 f"nid {nid} lives on quarantined page {page_id} "
                 "(unrecoverable after corruption; see NodeStore.repair)"
             )
-        page = self.pool.get_page(page_id)
-        self.counters.record_lookups += 1
-        return decode_record(page.read_record(slot))
+        return page_id, slot
 
     def tag(self, nid: int) -> str:
         return self.meta.symbols.name(self.record(nid).tag_sym)
@@ -580,39 +587,91 @@ class NodeStore:
         materialization mode of Sec. 5.3.  Value lookups are counted per
         populated node.
 
-        The root's page stays pinned for the duration: the traversal
-        re-enters the pool once per record, and the anchor page must not
-        be evicted out from under it by a concurrent query.  The pin is
-        released on *every* exit path, including a deadline expiring at
-        one of the per-node checkpoints.
+        The subtree is one contiguous nid range, read page by page (see
+        :meth:`_iter_records`): one pin per page, released on *every*
+        exit path, including a deadline expiring at one of the
+        per-record checkpoints.
         """
-        root_record = self.record(nid)
-        root_page_id, _ = self.meta.locate(nid)
-        with self.pool.pinned(root_page_id):
-            nodes: dict[int, XMLNode] = {}
-            root_node: XMLNode | None = None
-            for current in range(nid, nid + self._subtree_count(root_record)):
-                checkpoint()
-                record = root_record if current == nid else self.record(current)
-                node = XMLNode(
-                    self.meta.symbols.name(record.tag_sym),
-                    content=record.content if with_content else None,
-                    attributes=dict(record.attributes) or None,
-                    nid=record.nid,
-                )
-                if with_content and record.content is not None:
-                    self.counters.value_lookups += 1
-                self.counters.nodes_materialized += 1
-                nodes[current] = node
-                if current == nid:
-                    root_node = node
-                else:
-                    parent = nodes.get(record.parent)
-                    if parent is None:
-                        raise StorageError(
-                            f"nid {current}: parent {record.parent} outside the subtree"
-                        )
-                    parent.append_child(node)
+        checkpoint()
+        return self._build_subtree(
+            self._subtree_records(self.record(nid), with_content), with_content
+        )
+
+    def materialize_many(self, nids: list[int]) -> list[XMLNode]:
+        """Late value population for a whole result (Sec. 5.3: values
+        are populated last and once): one fresh, content-populated
+        subtree per entry of ``nids``, in input order.
+
+        The distinct nids are visited in page order and each record is
+        decoded once however often it is used — a title shared by two
+        author groups is read once and built twice.  Counters keep
+        their meaning: ``record_lookups`` per record decoded,
+        ``value_lookups`` per decoded record whose content is
+        populated, ``nodes_materialized`` per node built.
+        """
+        subtrees: dict[int, list[NodeRecord]] = {}
+        for record in self._iter_records(sorted(set(nids))):
+            subtrees[record.nid] = list(self._subtree_records(record, True))
+        return [self._build_subtree(subtrees[nid], True) for nid in nids]
+
+    def _iter_records(self, nids: Sequence[int]) -> Iterator[NodeRecord]:
+        """Decode the records at ascending distinct ``nids``, page by
+        page: each page is checked against quarantine and pinned once,
+        and every wanted record on it is decoded under that pin (one
+        logical lookup and one cancellation checkpoint each).  The pin
+        is released before the page's records are yielded, so an
+        iteration abandoned half-way never strands one."""
+        position = 0
+        while position < len(nids):
+            page_id, slot = self._locate_readable(nids[position])
+            base = nids[position] - slot
+            run: list[NodeRecord] = []
+            with self.pool.pinned(page_id) as page:
+                limit = base + page.n_slots
+                while position < len(nids) and nids[position] < limit:
+                    checkpoint()
+                    run.append(decode_record(page.read_record(nids[position] - base)))
+                    self.counters.record_lookups += 1
+                    position += 1
+            yield from run
+
+    def _subtree_records(
+        self, root: NodeRecord, with_content: bool
+    ) -> Iterator[NodeRecord]:
+        """``root`` and then the rest of its contiguous nid range, in
+        document order; with ``with_content`` one value lookup is
+        counted per content-carrying record."""
+        rest = range(root.nid + 1, root.nid + self._subtree_count(root))
+        for record in itertools.chain((root,), self._iter_records(rest)):
+            if with_content and record.content is not None:
+                self.counters.value_lookups += 1
+            yield record
+
+    def _build_subtree(
+        self, records: Iterable[NodeRecord], with_content: bool
+    ) -> XMLNode:
+        """A fresh tree from a subtree's records (root first, document
+        order)."""
+        nodes: dict[int, XMLNode] = {}
+        root_node: XMLNode | None = None
+        for record in records:
+            node = XMLNode(
+                self.meta.symbols.name(record.tag_sym),
+                content=record.content if with_content else None,
+                attributes=dict(record.attributes) or None,
+                nid=record.nid,
+            )
+            self.counters.nodes_materialized += 1
+            if root_node is None:
+                root_node = node
+            else:
+                parent = nodes.get(record.parent)
+                if parent is None:
+                    raise StorageError(
+                        f"nid {record.nid}: parent {record.parent} outside the subtree"
+                    )
+                parent.append_child(node)
+            nodes[record.nid] = node
         assert root_node is not None
         return root_node
 

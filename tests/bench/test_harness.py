@@ -60,12 +60,19 @@ class TestExperimentShapes:
 
     def test_e2_gap_exceeds_e1_gap(self):
         """The paper's headline shape: removing the title output widens
-        the grouping advantage (>6x vs ~1.8x)."""
-        e1 = run_experiment1(TINY)
-        e2 = run_experiment2(TINY)
-        e1_ratio = e1.lookup_ratio("direct-hash-join", "groupby")
-        e2_ratio = e2.lookup_ratio("direct-hash-join", "groupby")
-        assert e2_ratio > e1_ratio
+        the grouping advantage (>6x vs ~1.8x).
+
+        Measured in storage accesses (record lookups — every value
+        lookup is one).  Value lookups alone no longer rank the two:
+        the GROUPBY plan reads a title shared by several authors once,
+        a saving E2, which reads no title, cannot show."""
+
+        def gap(report):
+            baseline = report.run_by_label("direct-hash-join").statistics
+            grouped = report.run_by_label("groupby").statistics
+            return baseline["record_lookups"] / grouped["record_lookups"]
+
+        assert gap(run_experiment2(TINY)) > gap(run_experiment1(TINY))
 
     def test_paper_ratio_bracketing(self):
         """The paper's measured ratios sit between the two baselines in

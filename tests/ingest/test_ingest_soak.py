@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 import threading
+import time
 
 import pytest
 
@@ -70,11 +71,27 @@ def test_readers_see_stable_answers_during_ingest():
             threading.Thread(target=reader, args=(i,), daemon=True)
             for i in range(READERS)
         ]
+        def interleaved_chunks():
+            # Hand over the next chunk only once every reader has
+            # answered again: reads then overlap the commits however
+            # quickly either side runs (an 80-article ingest can
+            # otherwise finish inside a few GIL time slices).
+            for chunk in chunks_of(INCOMING_TEXT, 2048):
+                target = [count + 1 for count in reads]
+                give_up = time.monotonic() + 10.0
+                while (
+                    any(count < want for count, want in zip(reads, target))
+                    and not failures
+                    and time.monotonic() < give_up
+                ):
+                    time.sleep(0.001)
+                yield chunk
+
         for thread in threads:
             thread.start()
         try:
             report = service.load_stream(
-                INCOMING_TEXT, "incoming.xml", batch_size=BATCH
+                interleaved_chunks(), "incoming.xml", batch_size=BATCH
             )
         finally:
             stop.set()

@@ -87,8 +87,12 @@ def test_differential_identity_across_engines_and_toggles():
                     got = db.query(query.text, plan=mode).collection
                 except TranslationError:
                     # Only the naive join engines on the 3-level family
-                    # may refuse; anything else is a planning bug.
+                    # may refuse, and forced plans on a decorated RETURN
+                    # must (``auto`` falls back to direct instead);
+                    # anything else is a planning bug.
                     if query.family == "nested" and mode in NAIVE_MODES:
+                        continue
+                    if query.decorated and mode != "auto":
                         continue
                     _record_failure(
                         query, label, "unexpected TranslationError", failures
@@ -111,7 +115,9 @@ def test_nested_family_routes_through_collapse():
     and still match the direct oracle."""
     generator = QueryGenerator(SEED)
     document = generator.document()
-    nested = [q for q in generator.queries(60) if q.family == "nested"]
+    nested = [
+        q for q in generator.queries(60) if q.family == "nested" and not q.decorated
+    ]
     if not nested:  # pragma: no cover - seed-dependent guard
         pytest.skip("seed produced no nested queries in 60 draws")
     db = Database()

@@ -1,5 +1,6 @@
 """Label-only path navigation (descend_path) tests."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.indexing.manager import IndexManager
@@ -62,6 +63,32 @@ class TestDescendPath:
         assert all(
             len(v) == 1 and v[0].nid == nid for nid, v in reached.items()
         )
+
+    @pytest.mark.parametrize("columnar", [False, True])
+    def test_nested_starts_keep_their_own_targets(self, columnar):
+        """Child steps give every reached node exactly one owning start,
+        so starts may nest inside one another."""
+        store, indexes = setup(
+            element(
+                "doc_root",
+                None,
+                element(
+                    "sec",
+                    None,
+                    element("head", "outer"),
+                    element("sec", None, element("head", "inner"), element("head", "inner2")),
+                ),
+                element("sec", None),
+            )
+        )
+        secs = labels_of(indexes, "sec")
+        table = indexes.ensure_columnar() if columnar else None
+        reached = descend_path(indexes, secs, ("head",), columnar=table)
+        assert [
+            [store.content(label.nid) for label in reached[sec.nid]] for sec in secs
+        ] == [["outer"], ["inner", "inner2"], []]
+        nested = descend_path(indexes, secs, ("sec", "head"), columnar=table)
+        assert [len(nested[sec.nid]) for sec in secs] == [2, 0, 0]
 
     def test_no_data_access(self):
         store, indexes = setup(self.sample())

@@ -128,17 +128,34 @@ class TestCostModelExplain:
         assert "optimizer off" in explanation
 
     def test_uncosted_outside_grouping_family(self):
-        # EXPLAIN's contract covers the grouping family only (as before
-        # the cost model); a path query still raises, and AUTO execution
-        # falls back to the direct interpreter uncosted.
-        from repro.errors import TranslationError
-
+        # Outside the grouping family EXPLAIN reports what AUTO does:
+        # the direct interpreter, uncosted, with the translator's reason.
         db = _fig6_db()
-        with pytest.raises(TranslationError):
-            db.explain('FOR $t IN document("bib.xml")//title RETURN $t')
-        prepared = db.prepare('FOR $t IN document("bib.xml")//title RETURN $t')
+        text = 'FOR $t IN document("bib.xml")//title RETURN $t'
+        explanation = db.explain(text)
+        assert "plan: direct" in explanation.render()
+        payload = explanation.to_dict()
+        assert payload["plan"] == "direct"
+        assert payload["reason"] and payload["reason"] in explanation.render()
+        prepared = db.prepare(text)
         assert prepared.resolved is PlanMode.DIRECT
         assert prepared.decision is None
+
+    def test_explain_reports_direct_for_the_cluster_shard_query(self):
+        """The coordinator's ``<zrow>`` partial of QUERY_1 is answered
+        under ``direct``; EXPLAIN must say so instead of raising."""
+        from repro.cluster.merge import compile_merge
+        from repro.query.parser import parse_query
+
+        db = _fig6_db()
+        shard_query = compile_merge(parse_query(QUERY_1)).shard_query
+        assert db.query(shard_query).plan_mode == "direct"
+        for verbose in (False, True):
+            explanation = db.explain(shard_query, verbose=verbose)
+            assert "plan: direct" in explanation.render()
+            payload = explanation.to_dict()
+            assert payload["plan"] == "direct"
+            assert "exactly two embedded expressions" in payload["reason"]
 
 
 class TestPlanChoice:

@@ -121,6 +121,79 @@ class TestRecognition:
             recognize(parse_query(text))
 
 
+INNER_TITLES = (
+    '{FOR $b IN document("bib.xml")//article WHERE $a = $b/author RETURN $b/title}'
+)
+OUTER_FOR = 'FOR $a IN distinct-values(document("bib.xml")//author)\n'
+DECORATED_RETURNS = {
+    "attribute": OUTER_FOR + f'RETURN <r kind="x">{{$a}}{INNER_TITLES}</r>',
+    "text": OUTER_FOR + f"RETURN <r>pubs of {{$a}}{INNER_TITLES}</r>",
+    "wrapper": OUTER_FOR
+    + 'LET $t := document("bib.xml")//article[author = $a]/title\n'
+    + f"RETURN <r>{{$a}} <c>{{count($t)}}</c> {INNER_TITLES}</r>",
+    "let-attribute": OUTER_FOR
+    + 'LET $t := document("bib.xml")//article[author = $a]/title\n'
+    + 'RETURN <r kind="x">{$a} {$t}</r>',
+    "nested-middle-text": 'FOR $i IN distinct-values(document("bib.xml")//institution)\n'
+    "RETURN <o>{$i}{"
+    + OUTER_FOR
+    + f"WHERE $i = $a/institution\nRETURN <r>by {{$a}}{INNER_TITLES}</r>"
+    + "}</o>",
+    "nested-outer-attribute": 'FOR $i IN distinct-values(document("bib.xml")//institution)\n'
+    'RETURN <o kind="x">{$i}{'
+    + OUTER_FOR
+    + f"WHERE $i = $a/institution\nRETURN <r>{{$a}}{INNER_TITLES}</r>"
+    + "}</o>",
+}
+
+
+class TestDecoratedReturnRefused:
+    """The grouping plans build ``<tag>{outer}{inner}</tag>`` and nothing
+    else: a RETURN constructor carrying an attribute, literal text or a
+    nested element is refused, never translated with that part dropped."""
+
+    @pytest.mark.parametrize("name", sorted(DECORATED_RETURNS))
+    def test_translation_refused(self, name):
+        from repro.query.translate import recognize_nested
+
+        expr = parse_query(DECORATED_RETURNS[name])
+        with pytest.raises(TranslationError):
+            recognize(expr)
+        with pytest.raises(TranslationError):
+            recognize_nested(expr)
+
+    @pytest.mark.parametrize("name", sorted(DECORATED_RETURNS))
+    def test_auto_answers_like_direct(self, name):
+        from repro.query.database import Database
+        from repro.xmlmodel.diff import diff_collections
+
+        db = Database()
+        db.load(
+            text="<doc_root>"
+            "<article><title>T1</title><author>Ann<institution>UM</institution></author>"
+            "<author>Bob<institution>MIT</institution></author></article>"
+            "<article><title>T2</title><author>Ann<institution>UM</institution></author>"
+            "</article></doc_root>",
+            name="bib.xml",
+        )
+        text = DECORATED_RETURNS[name]
+        result = db.query(text, plan="auto")
+        assert result.plan_mode == "direct"
+        reference = db.query(text, plan="direct").collection
+        assert diff_collections(result.collection, reference) is None
+        assert len(reference) > 0
+        with pytest.raises(TranslationError):
+            db.query(text, plan="groupby")
+
+    def test_family_still_plans_as_groupby(self, db):
+        """Inter-item whitespace is not content: the paper's queries
+        (written across lines) keep their GROUPBY plans."""
+        from tests.query.test_optimizer import E4_NESTED
+
+        for text in (QUERY_1, QUERY_2, QUERY_COUNT, E4_NESTED):
+            assert db.query(text, plan="auto").plan_mode == "groupby"
+
+
 class TestPatterns:
     def test_outer_pattern_fig4a(self):
         pattern = outer_pattern("doc_root", "author")

@@ -1,5 +1,6 @@
 """CLI tests (argument wiring and end-to-end subcommands)."""
 
+import json
 import os
 
 import pytest
@@ -234,6 +235,25 @@ class TestExperiments:
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             main(["experiment", "zz"])
+
+    def test_experiment_leaves_cwd_untouched(self, tmp_path, monkeypatch, capsys):
+        """Hermetic by default: no trajectory (or anything else) is
+        written unless ``--record`` asks for it."""
+        monkeypatch.chdir(tmp_path)
+        assert main(["experiment", "e1", "--articles", "40", "--authors", "15"]) == 0
+        assert list(tmp_path.iterdir()) == []
+        assert "trajectory written" not in capsys.readouterr().err
+
+    def test_record_writes_trajectory_to_path(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        target = tmp_path / "out" / "run.json"
+        target.parent.mkdir()
+        argv = ["experiment", "e1", "--articles", "40", "--authors", "15"]
+        assert main(argv + ["--record", str(target)]) == 0
+        assert [path.name for path in tmp_path.iterdir()] == ["out"]
+        entries = json.loads(target.read_text())["entries"]
+        assert "groupby" in {entry["bench"] for entry in entries}
+        assert f"trajectory written to {target}" in capsys.readouterr().err
 
 
 class TestVerifyRepair:
