@@ -16,9 +16,12 @@ over the line protocol:
   shard keep running between batches.
 * **query** — :func:`~repro.cluster.merge.compile_merge` rewrites the
   query into a per-shard form; the coordinator fans the rewritten
-  query out to every slice's holder concurrently, merges the rows
-  (group union / concat / scalar sum), and re-applies ``SORTBY``.
-  Whole (unpartitioned) documents route to their owner untouched.
+  query out to every slice's holder concurrently under the caller's
+  plan mode (a grouping query's shard form is a grouping query, so
+  ``auto`` resolves to ``groupby`` shard-side and a forced mode means
+  what it means on one node), merges the rows (group union / concat /
+  scalar sum), and re-applies ``SORTBY``.  Whole (unpartitioned)
+  documents route to their owner untouched.
 
 Robustness (the point of this subsystem):
 
@@ -413,14 +416,8 @@ class ClusterCoordinator:
             sortby = ()
         else:
             merge_plan = compile_merge(expr)
-            # The rewritten shard query carries extra wrapper items, so
-            # it falls outside the two-item shape the GROUPBY translator
-            # accepts: grouping plan modes would fail shard-side.  Those
-            # modes describe single-node physical plans; distributed
-            # slices run AUTO (which resolves to the interpreter).
-            shard_plan = plan if plan in (None, "auto", "direct") else "auto"
             rows, missing = self._run_partitioned(
-                placement, merge_plan, shard_plan, deadline, allow_partial
+                placement, merge_plan, plan, deadline, allow_partial
             )
             kind = merge_plan.kind
             sortby = merge_plan.sortby
@@ -715,9 +712,6 @@ class ClusterCoordinator:
                 f"  slice {slot.index}: shard {slot.primary}{note}{extra}"
             )
         lines.append(f"merge: {merge_line}")
-        # The rewritten shard query falls outside the two-item GROUPBY
-        # shape the translator accepts, so shards report (and run) it
-        # as ``plan: direct``.
         local = self._explain_local(placement, shard_text, verbose)
         # Roll the shard's cost-model statistics version up into the
         # cluster section, so a cross-shard plan is traceable to the
@@ -773,7 +767,8 @@ class ClusterCoordinator:
                     last_error = error
                     continue
                 self._record_success(shard)
-                return Explanation(reply.get("text", ""), reply)
+                # The wire nests the shard's ``to_dict()`` under "plans".
+                return Explanation(reply.get("text", ""), reply.get("plans", {}))
         raise ShardUnavailableError(
             f"no shard could explain against {placement.name!r}"
         ) from last_error

@@ -9,7 +9,11 @@ a query AST and decides how slice results combine:
   over one document, LET bindings, a constructor RETURN).  Each shard
   runs a rewritten query whose RETURN wraps every constructor item in
   a tagged wrapper inside one ``<zrow>`` per group, always including a
-  hidden ``<zk>`` carrying the group key.  The coordinator unions
+  hidden ``<zk>`` carrying the group key (an item that is exactly the
+  group variable is rebuilt from ``<zk>``, not shipped twice).  The
+  shard query is itself in the grouping family — its constructor is an
+  output template over the same join-plan pattern — so every shard
+  answers it with the GROUPBY plan.  The coordinator unions
   groups by atomized key in *slice-major* order — slices are
   contiguous spans of the document, so slice-major first-appearance
   order **is** global document order of first occurrences — and merges
@@ -25,8 +29,11 @@ a query AST and decides how slice results combine:
 * ``scalar-count`` — a bare ``count(...)`` over the document: per-shard
   counts add into one scalar row.
 
-``SORTBY`` is stripped from the shard query and re-applied to the
-merged rows (sorting a slice tells you nothing about global order).
+``SORTBY`` is stripped from the shard query and re-applied after the
+merge (sorting a slice tells you nothing about global order): the outer
+one to the merged rows, a member list's own to its concatenated list —
+a stable sort over the slice-major concatenation is the single-node
+order.
 
 Anything else — cross-slice dedup inside an item, a LET the WHERE
 filters on (HAVING-style), document-spanning joins per row — raises
@@ -43,6 +50,7 @@ tests).
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 from ..errors import ClusterMergeError
@@ -138,9 +146,11 @@ def free_vars(node: object, bound: frozenset = frozenset()) -> set[str]:
 class ItemPlan:
     """How one constructor item merges across slices."""
 
-    kind: str  # static-text | static-elem | key | list | count | sum | min | max | avg
+    # static-text | static-elem | group | key | list | count | sum | min | max | avg
+    kind: str
     index: int
     source: object  # the original AST item
+    sortby: tuple[SortKey, ...] = ()  # a list item's own SORTBY, re-applied here
 
 
 @dataclass(frozen=True)
@@ -170,7 +180,12 @@ class MergePlan:
                     zs, zn = _avg_tags(item.index)
                     ops.append(f"{zs}/{zn}=avg (sum+count)")
                 elif item.kind == "list":
-                    ops.append(f"{_item_tag(item.index)}=concat")
+                    ops.append(
+                        f"{_item_tag(item.index)}=concat"
+                        + (" + SORTBY" if item.sortby else "")
+                    )
+                elif item.kind == "group":
+                    ops.append(f"item {item.index}=rebuilt from {KEY_TAG}")
                 elif item.kind == "key":
                     ops.append(f"{_item_tag(item.index)}=first-slice representative")
                 else:
@@ -278,7 +293,7 @@ def _compile_group(expr: FLWR, document: str) -> MergePlan:
     for index, item in enumerate(expr.ret.items):
         plan = _classify_item(item, index, group_var)
         items.append(plan)
-        wrappers.extend(_wrappers_for(plan, item))
+        wrappers.extend(_wrappers_for(plan))
     shard_expr = FLWR(
         clauses=expr.clauses,
         where=expr.where,
@@ -308,6 +323,8 @@ def _classify_item(item: object, index: int, group_var: str) -> ItemPlan:
         return ItemPlan("static-elem", index, item)
     assert isinstance(item, EmbeddedExpr)
     inner = item.expr
+    if inner == VarRef(group_var):
+        return ItemPlan("group", index, item)
     if _contains(inner, (DistinctValues,)):
         raise ClusterMergeError(
             "distinct-values inside a RETURN item needs cross-slice dedup"
@@ -329,7 +346,23 @@ def _classify_item(item: object, index: int, group_var: str) -> ItemPlan:
         return ItemPlan("count", index, item)
     if isinstance(inner, AggregateCall):
         return ItemPlan(inner.function, index, item)
+    if isinstance(inner, FLWR) and inner.sortby:
+        if not _yields_nodes(inner.ret):
+            raise ClusterMergeError(
+                "SORTBY inside a RETURN item over atomic values cannot be "
+                "re-applied after the merge"
+            )
+        unsorted = EmbeddedExpr(dataclasses.replace(inner, sortby=()))
+        return ItemPlan("list", index, unsorted, sortby=inner.sortby)
     return ItemPlan("list", index, item)
+
+
+def _yields_nodes(ret: object) -> bool:
+    """True when a FLWR's RETURN produces nodes (which survive the wire
+    one by one) rather than strings (which join into wrapper content)."""
+    if isinstance(ret, ElementConstructor):
+        return True
+    return isinstance(ret, PathExpr) and bool(ret.steps) and ret.steps[-1].axis != "@"
 
 
 def _correlated(expr: object, group_var: str) -> bool:
@@ -352,9 +385,10 @@ def _correlated(expr: object, group_var: str) -> bool:
     return False
 
 
-def _wrappers_for(plan: ItemPlan, item: object) -> list[ElementConstructor]:
-    if plan.kind in ("static-text", "static-elem"):
-        return []  # rebuilt locally; never shipped
+def _wrappers_for(plan: ItemPlan) -> list[ElementConstructor]:
+    if plan.kind in ("static-text", "static-elem", "group"):
+        return []  # rebuilt at the coordinator; never shipped
+    item = plan.source
     assert isinstance(item, EmbeddedExpr)
     if plan.kind == "avg":
         inner = item.expr
@@ -450,8 +484,6 @@ def _rename(node, mapping: dict[str, str]):
                 changes[name] = renamed_one
     if not changes:
         return node
-    import dataclasses
-
     return dataclasses.replace(node, **changes)
 
 
@@ -459,7 +491,23 @@ def _rename(node, mapping: dict[str, str]):
 # Row merging
 # ----------------------------------------------------------------------
 def atomize(node: XMLNode) -> str:
+    """``Interpreter._atomize`` of a constructed node."""
     return "".join(n.content or "" for n in node.iter())
+
+
+def _stored_value(node: XMLNode) -> str:
+    """``Interpreter._atomize`` of a *stored* node (what a path or
+    ``distinct-values`` yields): its own content when it has any, the
+    subtree string otherwise."""
+    return node.content if node.content is not None else atomize(node)
+
+
+def _key_value(wrapper: XMLNode) -> str:
+    """The value ``distinct-values`` compared: ``<zk>`` holds the group
+    variable's one binding, a stored node or an atomic string."""
+    if wrapper.children:
+        return _stored_value(wrapper.children[0])
+    return wrapper.content or ""
 
 
 def _wrapper(row: XMLNode, tag: str) -> XMLNode | None:
@@ -491,7 +539,7 @@ def merge_rows(plan: MergePlan, slice_rows: list[list[XMLNode]]) -> list[XMLNode
     for rows in slice_rows:
         for row in rows:
             key_node = _wrapper(row, KEY_TAG)
-            key = atomize(key_node) if key_node is not None else ""
+            key = _key_value(key_node) if key_node is not None else ""
             bucket = buckets.get(key)
             if bucket is None:
                 order.append(key)
@@ -516,12 +564,29 @@ def _rebuild_row(plan: MergePlan, rows: list[XMLNode]) -> XMLNode:
         elif item.kind == "static-elem":
             assert isinstance(item.source, ElementConstructor)
             node.append_child(_build_static(item.source))
+        elif item.kind == "group":
+            # ``<zk>`` also keys the merge and may serve several items.
+            key = _wrapper(winner, KEY_TAG)
+            if key is not None:
+                _absorb(key.deep_copy(), texts, node)
         elif item.kind == "key":
             wrapper = _wrapper(winner, _item_tag(item.index))
             _absorb(wrapper, texts, node)
         elif item.kind == "list":
+            # Concatenate slice-major (document order), then re-apply
+            # the list's own SORTBY: the sort is stable, so the result
+            # is the single-node order.
+            start = len(node.children)
             for row in rows:
                 _absorb(_wrapper(row, _item_tag(item.index)), texts, node)
+            if item.sortby:
+                # A path yields stored nodes, a constructor built ones.
+                stored = isinstance(item.source.expr.ret, PathExpr)
+                node.children[start:] = apply_sortby(
+                    node.children[start:],
+                    item.sortby,
+                    _stored_value if stored else atomize,
+                )
         elif item.kind == "count":
             total = 0
             for row in rows:
@@ -599,9 +664,12 @@ def _build_static(ctor: ElementConstructor) -> XMLNode:
 # ----------------------------------------------------------------------
 # SORTBY over merged rows
 # ----------------------------------------------------------------------
-def apply_sortby(rows: list[XMLNode], sortby: tuple[SortKey, ...]) -> list[XMLNode]:
-    """The interpreter's 2001-era SORTBY, over constructed nodes:
-    stable sort, rightmost key first so the leftmost is primary."""
+def apply_sortby(
+    rows: list[XMLNode], sortby: tuple[SortKey, ...], value=atomize
+) -> list[XMLNode]:
+    """The interpreter's 2001-era SORTBY: stable sort, rightmost key
+    first so the leftmost is primary.  ``value`` atomizes a sort node —
+    constructed nodes (merged rows) by default."""
     if not sortby:
         return rows
     from ..core.base import numeric_or_text
@@ -609,16 +677,16 @@ def apply_sortby(rows: list[XMLNode], sortby: tuple[SortKey, ...]) -> list[XMLNo
     ordered = list(rows)
     for key in reversed(sortby):
         ordered.sort(
-            key=lambda row: numeric_or_text(_sort_value(row, key.path)),
+            key=lambda row: numeric_or_text(_sort_value(row, key.path, value)),
             reverse=key.direction == "DESCENDING",
         )
     return ordered
 
 
-def _sort_value(node: XMLNode, path: tuple[str, ...]) -> str:
+def _sort_value(node: XMLNode, path: tuple[str, ...], value) -> str:
     if path == (".",):
-        return atomize(node)
+        return value(node)
     nodes = [node]
     for name in path:
         nodes = [child for n in nodes for child in n.findall(name)]
-    return atomize(nodes[0]) if nodes else ""
+    return value(nodes[0]) if nodes else ""

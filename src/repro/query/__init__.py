@@ -7,8 +7,9 @@ from .interpreter import Interpreter
 from .logical_exec import LogicalExecutor
 from .parser import parse_query
 from .physical import PhysicalExecutor
-from .plan import ArgSpec, GroupOutputSpec, PlanNode, StitchSpec
+from .plan import PlanNode, StitchSpec
 from .rewrite import detect, rewrite
+from .template import OutputTemplate, TemplateLeaf
 from .translate import GroupingQuery, naive_plan, recognize, translate
 
 __all__ = [
@@ -22,10 +23,10 @@ __all__ = [
     "LogicalExecutor",
     "parse_query",
     "PhysicalExecutor",
-    "ArgSpec",
-    "GroupOutputSpec",
+    "OutputTemplate",
     "PlanNode",
     "StitchSpec",
+    "TemplateLeaf",
     "detect",
     "rewrite",
     "GroupingQuery",

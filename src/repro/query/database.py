@@ -67,8 +67,7 @@ from .optimizer import FeedbackLoop, Optimizer, PlanDecision
 from .parser import parse_query
 from .physical import PhysicalExecutor
 from .plan import PlanNode
-from .rewrite import collapse_nested, rewrite
-from .translate import recognize_nested, translate
+from .rewrite import candidate_plans
 
 
 class PlanMode(str, Enum):
@@ -559,13 +558,7 @@ class Database:
         grouping plan, so the first element is ``None``.
         """
         expr = self.parse(text)
-        doc = self._target_document(expr)
-        root_tag = self.root_tag(doc)
-        try:
-            _, naive = translate(expr, root_tag)
-        except TranslationError:
-            return None, collapse_nested(recognize_nested(expr), root_tag)
-        return naive, rewrite(naive)
+        return candidate_plans(expr, self.root_tag(self._target_document(expr)))
 
     def _match_strategy_status(self) -> dict[str, object]:
         """The structural-match strategy EXPLAIN reports — *without*
@@ -1031,17 +1024,16 @@ class Database:
         return self._finish(text, collection, "direct", elapsed, None, profiler, before)
 
     def _build_plan(self, expr: Expr, rewritten: bool) -> PlanNode:
-        doc = self._target_document(expr)
-        root_tag = self.root_tag(doc)
-        try:
-            _, naive = translate(expr, root_tag)
-        except TranslationError:
-            if rewritten:
-                # Join-graph isolation: a 3-level nested FLWR has no
-                # naive join plan, but collapses into one grouping plan.
-                return collapse_nested(recognize_nested(expr), root_tag)
-            raise
-        return rewrite(naive) if rewritten else naive
+        naive, grouped = candidate_plans(
+            expr, self.root_tag(self._target_document(expr))
+        )
+        if rewritten:
+            return grouped
+        if naive is None:
+            # Join-graph isolation: a 3-level nested FLWR collapses into
+            # one grouping plan but has no naive join plan to run.
+            raise TranslationError("a 3-level nested FLWR has no naive join plan")
+        return naive
 
     def _run_physical(
         self,

@@ -266,24 +266,31 @@ class CardinalityEstimator:
             return float(min(groups, witnesses)), witnesses + sort_cost
         if op in ("stitch", "project_groups"):
             rows = child_estimates[0][0]
-            spec = node.params["spec"]
-            if hasattr(spec, "mode"):
-                count_mode = spec.mode == "count"  # GroupOutputSpec
-            else:
-                count_mode = any(arg.kind == "count" for arg in spec.args)  # StitchSpec
-            members = self._member_estimate(node)
-            if count_mode:
-                # Late materialization: only the group/basis nodes.
-                return rows, rows
             if op == "stitch":
-                # The naive plan walks each member's subtree, tuple at
-                # a time, to reach and materialize the output path.
-                fetched_tag = self._member_tag(node)
+                template = node.params["spec"].template
             else:
-                # The GROUPBY plan reaches the output path on labels
-                # and fetches only the reached nodes' subtrees.
-                fetched_tag = self._output_tag(spec.member_path, self._member_tag(node))
-            return rows, rows + members * self.avg_subtree_size(fetched_tag)
+                template = node.params["template"]
+            member_tag = self._member_tag(node)
+            members = self._member_estimate(node)
+            # Construction is the sum over the template's leaves: a key
+            # leaf fetches the group node, COUNT nothing (late
+            # materialization), a member list or numeric aggregate one
+            # subtree per member — the member's own in the naive plan
+            # (it walks the member tuple at a time to reach the output
+            # path), the reached node's in the GROUPBY plan (it gets
+            # there on labels and fetches only what it emits).
+            cost = 0.0
+            for leaf in template.leaves():
+                if leaf.kind == "key":
+                    cost += rows
+                elif leaf.kind != "count":
+                    fetched_tag = (
+                        member_tag
+                        if op == "stitch"
+                        else self._output_tag(leaf.path, member_tag)
+                    )
+                    cost += members * self.avg_subtree_size(fetched_tag)
+            return rows, cost
         if op == "nested_groups":
             return self._estimate_nested_groups(node, child_estimates)
         if op == "rename_root":
@@ -308,16 +315,21 @@ class CardinalityEstimator:
         # Construction: every outer and (qualifying ~ all) middle
         # representative materializes its subtree; members add their
         # output-path subtrees (values) or value fetches (aggregates).
-        construct = outer_rows * self.avg_subtree_size(outer_tag)
-        construct += middle_rows * self.avg_subtree_size(middle_tag)
         member_tag = self._member_tag_from(node.inputs[2])
         members = self._members_from(node.inputs[2])
-        if spec.mode == "values":
-            construct += members * self.avg_subtree_size(
-                self._output_tag(spec.member_path, member_tag)
-            )
-        else:
-            construct += members
+        construct = 0.0
+        for leaf in spec.outer.leaves():
+            if leaf.kind == "key":
+                construct += outer_rows * self.avg_subtree_size(outer_tag)
+        for leaf in spec.middle.leaves():
+            if leaf.kind == "key":
+                construct += middle_rows * self.avg_subtree_size(middle_tag)
+            elif leaf.kind == "members":
+                construct += members * self.avg_subtree_size(
+                    self._output_tag(leaf.path, member_tag)
+                )
+            else:
+                construct += members
         return outer_rows, link_cost + probe_cost + construct
 
     def _distinct_segment_tag(self, segment: PlanNode) -> str | None:

@@ -14,6 +14,7 @@ operator respectively; see the inline notes.
 from __future__ import annotations
 
 from ..core.base import atomic_value_of
+from ..core.construct import members_of
 from ..core.duplicates import DuplicateElimination
 from ..core.groupby import GroupBy
 from ..core.join import Join, JoinKind
@@ -25,7 +26,14 @@ from ..indexing.manager import IndexManager
 from ..storage.store import NodeStore
 from ..xmlmodel.node import XMLNode
 from ..xmlmodel.tree import Collection, DataTree
-from .plan import GroupOutputSpec, PlanNode, StitchSpec
+from .plan import NestedGroupSpec, PlanNode, StitchSpec
+from .template import (
+    Ordering,
+    OutputTemplate,
+    TemplateLeaf,
+    aggregate_text,
+    fill_template,
+)
 
 
 class LogicalExecutor:
@@ -107,19 +115,11 @@ class LogicalExecutor:
         return operator.apply(left, right)
 
     def _exec_groupby(self, plan: PlanNode) -> Collection:
+        # The ordering list is applied where the members are projected
+        # (``_build_return_element``): the sorted member list orders its
+        # own copy, every other template leaf keeps document order.
         operator = GroupBy(plan.params["pattern"], plan.params["basis"])
-        grouped = operator.apply(self.execute(plan.child))
-        ordering = plan.params.get("ordering") or []
-        if ordering:
-            # SORTBY member ordering by path navigation from the member
-            # root (missing paths sort as ""), so members lacking the
-            # sort path are ordered, not excluded.
-            for tree in grouped:
-                subroot = tree.root.children[1]
-                subroot.children[:] = _order_members(
-                    list(subroot.children), tuple(ordering)
-                )
-        return grouped
+        return operator.apply(self.execute(plan.child))
 
     def _exec_rename_root(self, plan: PlanNode) -> Collection:
         return RenameRoot(plan.params["tag"]).apply(self.execute(plan.child))
@@ -173,16 +173,9 @@ class LogicalExecutor:
         output = Collection(name="stitch")
         for value in order:
             members = [m for m in groups[value] if m is not None]
-            members = _order_members(members, spec.ordering)
             output.append(
                 DataTree(
-                    _build_return_element(
-                        spec.return_tag,
-                        group_nodes[value],
-                        members,
-                        _spec_member_path(spec),
-                        _spec_mode(spec),
-                    )
+                    _build_return_element(spec.template, group_nodes[value], members)
                 )
             )
         return output
@@ -195,61 +188,39 @@ class LogicalExecutor:
         grouping basis, second the group subroot with the member source
         trees.
         """
-        spec: GroupOutputSpec = plan.params["spec"]
+        template: OutputTemplate = plan.params["template"]
         grouped = self.execute(plan.inputs[0])
         if len(plan.inputs) == 2:
-            return self._project_groups_padded(spec, grouped, plan.inputs[1])
+            return self._project_groups_padded(template, grouped, plan.inputs[1])
         output = Collection(name="project-groups")
         for tree in grouped:
             children = tree.root.children
             if len(children) != 2:
                 raise TranslationError("project_groups: malformed group tree")
-            basis, subroot = children
+            basis = children[0]
             if not basis.children:
                 raise TranslationError("project_groups: empty grouping basis")
-            group_node = basis.children[0]
-            # Drop duplicate source trees within the group (the migrated
-            # "duplicate elimination based on articles" of the naive
-            # plan): keyed by stored nid when available, else by value.
-            members = []
-            seen: set = set()
-            for member in subroot.children:
-                key = member.nid if member.nid is not None else member.canonical_key()
-                if key in seen:
-                    continue
-                seen.add(key)
-                members.append(member)
             output.append(
                 DataTree(
                     _build_return_element(
-                        spec.return_tag, group_node, members, spec.member_path, spec.mode
+                        template, basis.children[0], _distinct_members(tree)
                     )
                 )
             )
         return output
 
-
     def _exec_nested_groups(self, plan: PlanNode) -> Collection:
         """Join-graph isolation over materialized collections: the three
         isolated blocks re-correlated by value lookups."""
-        spec = plan.params["spec"]
+        spec: NestedGroupSpec = plan.params["spec"]
         outer = self.execute(plan.inputs[0])
         middle = self.execute(plan.inputs[1])
         grouped = self.execute(plan.inputs[2])
 
         members_by_value: dict[str, list[XMLNode]] = {}
         for tree in grouped:
-            basis, subroot = tree.root.children
-            group_node = basis.children[0]
-            members = []
-            seen: set = set()
-            for member in subroot.children:
-                key = member.nid if member.nid is not None else member.canonical_key()
-                if key in seen:
-                    continue
-                seen.add(key)
-                members.append(member)
-            members_by_value[atomic_value_of(group_node)] = members
+            basis = tree.root.children[0]
+            members_by_value[atomic_value_of(basis.children[0])] = _distinct_members(tree)
 
         # The middle representatives with their link values, populated
         # once each (the representative is the first occurrence of the
@@ -262,45 +233,36 @@ class LogicalExecutor:
             }
             middle_entries.append((node, atomic_value_of(node), link_values))
 
+        def resolve_outer(leaf: TemplateLeaf, outer_node: XMLNode):
+            if leaf.kind == "key":
+                return [outer_node.deep_copy()]
+            outer_value = atomic_value_of(outer_node)
+            return [
+                _build_return_element(
+                    spec.middle, middle_node, members_by_value.get(middle_value, [])
+                )
+                for middle_node, middle_value, link_values in middle_entries
+                if outer_value in link_values
+            ]
+
         output = Collection(name="nested-groups")
         for tree in outer:
             outer_node = _single_child(tree.root, "nested_groups outer")
-            outer_value = atomic_value_of(outer_node)
-            element = XMLNode(spec.outer_tag)
-            element.append_child(outer_node.deep_copy())
-            for middle_node, middle_value, link_values in middle_entries:
-                if outer_value not in link_values:
-                    continue
-                element.append_child(
-                    _build_return_element(
-                        spec.middle_tag,
-                        middle_node,
-                        members_by_value.get(middle_value, []),
-                        spec.member_path,
-                        spec.mode,
-                    )
-                )
-            output.append(DataTree(element))
+            output.append(
+                DataTree(fill_template(spec.outer, resolve_outer, outer_node).build())
+            )
         return output
 
     def _project_groups_padded(
-        self, spec: GroupOutputSpec, grouped: Collection, outer_plan: PlanNode
+        self, template: OutputTemplate, grouped: Collection, outer_plan: PlanNode
     ) -> Collection:
         """Emit one element per *outer* distinct value: the group output
         when a group exists, an empty group otherwise (filters can
         orphan values; the outer FOR still yields them)."""
         by_value: dict[str, list[XMLNode]] = {}
         for tree in grouped:
-            basis, subroot = tree.root.children
-            members = []
-            seen: set = set()
-            for member in subroot.children:
-                key = member.nid if member.nid is not None else member.canonical_key()
-                if key in seen:
-                    continue
-                seen.add(key)
-                members.append(member)
-            by_value[atomic_value_of(basis.children[0])] = members
+            basis = tree.root.children[0]
+            by_value[atomic_value_of(basis.children[0])] = _distinct_members(tree)
 
         output = Collection(name="project-groups")
         for outer_tree in self.execute(outer_plan):
@@ -308,13 +270,7 @@ class LogicalExecutor:
             value = atomic_value_of(outer_node)
             # The rep is always the outer distinct occurrence — the
             # group exemplar ranges only over the filtered witnesses.
-            built = _build_return_element(
-                spec.return_tag,
-                outer_node,
-                by_value.get(value, []),
-                spec.member_path,
-                spec.mode,
-            )
+            built = _build_return_element(template, outer_node, by_value.get(value, []))
             output.append(DataTree(built))
         return output
 
@@ -328,56 +284,45 @@ def _single_child(node: XMLNode, context: str) -> XMLNode:
     return node.children[0]
 
 
-def _spec_member_path(spec: StitchSpec) -> tuple[str, ...]:
-    for arg in spec.args:
-        if arg.kind in ("members", "count", "aggregate"):
-            return arg.member_path
-    return ()
-
-
-def _spec_mode(spec: StitchSpec) -> str:
-    for arg in spec.args:
-        if arg.kind == "count":
-            return "count"
-        if arg.kind == "aggregate":
-            return arg.function or "sum"
-    return "values"
+def _distinct_members(group_tree: DataTree) -> list[XMLNode]:
+    """A group's member source trees with duplicates dropped — the
+    migrated "duplicate elimination based on articles" of the naive
+    plan."""
+    return [member.root for member in members_of(group_tree)]
 
 
 def _build_return_element(
-    return_tag: str,
-    group_node: XMLNode,
-    members: list[XMLNode],
-    member_path: tuple[str, ...],
-    mode: str,
+    template: OutputTemplate, group_node: XMLNode, members: list[XMLNode]
 ) -> XMLNode:
-    """``<return_tag>{group node}{titles... | aggregate}</return_tag>``.
+    """The RETURN element of one group: the template filled with the
+    group node, member-path nodes and aggregates.
 
     The shape matches the direct interpreter's constructor output, so
     every engine produces structurally identical results.  ``count``
     counts the output-path nodes reached across members (an article
     without a title contributes nothing — XQuery ``count($t)``
     semantics); the numeric aggregates apply to those nodes' values.
+    ``members`` arrive in document order; a sorted member list orders
+    its own copy.
     """
-    from ..core.aggregation import AggregateFunction
+    return fill_template(template, _resolve_leaf, (group_node, members)).build()
 
-    root = XMLNode(return_tag)
-    root.append_child(group_node.deep_copy())
-    if mode == "values":
-        for member in members:
-            for target in _navigate(member, member_path):
-                root.append_child(target.deep_copy())
-        return root
+
+def _resolve_leaf(leaf: TemplateLeaf, group: tuple[XMLNode, list[XMLNode]]):
+    """One leaf of one group's RETURN element, over built trees."""
+    group_node, members = group
+    if leaf.kind == "key":
+        return [group_node.deep_copy()]
     reached = [
-        target for member in members for target in _navigate(member, member_path)
+        target
+        for member in _order_members(members, leaf.ordering)
+        for target in _navigate(member, leaf.path)
     ]
-    if mode == "count":
-        root.content = str(len(reached))
-        return root
-    values = [atomic_value_of(node) for node in reached]
-    rendered = AggregateFunction(mode.upper()).compute(values)
-    root.content = rendered if rendered else None
-    return root
+    if leaf.kind == "members":
+        return [target.deep_copy() for target in reached]
+    if leaf.kind == "count":
+        return aggregate_text("count", reached)
+    return aggregate_text(leaf.kind, [atomic_value_of(node) for node in reached])
 
 
 def _navigate(node: XMLNode, path: tuple[str, ...]) -> list[XMLNode]:
@@ -387,10 +332,8 @@ def _navigate(node: XMLNode, path: tuple[str, ...]) -> list[XMLNode]:
     return frontier
 
 
-def _order_members(
-    members: list[XMLNode], ordering: tuple[tuple[tuple[str, ...], str], ...]
-) -> list[XMLNode]:
-    """SORTBY member ordering for the naive plan's stitch."""
+def _order_members(members: list[XMLNode], ordering: Ordering) -> list[XMLNode]:
+    """SORTBY member ordering (stable, leftmost key primary)."""
     from ..core.base import numeric_or_text
 
     if not ordering:

@@ -25,13 +25,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from ..errors import TranslationError
 from ..indexing.manager import IndexManager
 from ..storage.store import NodeStore
 from .estimate import SORT_COMPARISON_WEIGHT, CardinalityEstimator, PlanEstimate
 from .plan import PlanNode
 from .rewrite import collapse_nested, rewrite
-from .translate import recognize_nested, translate
+from .translate import NestedGroupingQuery, naive_plan, recognize_any
 
 #: Estimate-vs-actual row ratio beyond which a plan is flagged for
 #: re-costing.  Documented contract: on the paper's workloads (E1–E4)
@@ -133,22 +132,20 @@ class Optimizer:
     ) -> tuple[PlanDecision, PlanNode | None]:
         """Cost the alternatives for a grouping-family query.
 
-        Raises :class:`TranslationError` when the query is outside both
-        the 2-level and the 3-level family (the caller falls back to
-        the direct interpreter, uncosted).  Returns the decision and
-        the chosen plan (``None`` when direct evaluation won).
+        Raises :class:`~repro.errors.TranslationError` when the query
+        is outside both the 2-level and the 3-level family (the caller
+        falls back to the direct interpreter, uncosted).  Returns the
+        decision and the chosen plan (``None`` when direct evaluation
+        won).
         """
         est = self.estimator
-        try:
-            _query, naive = translate(expr, root_tag)
-            kind = "grouping"
-        except TranslationError:
-            nested = recognize_nested(expr)
-            kind = "nested-grouping"
+        query = recognize_any(expr)
+        kind = "nested-grouping" if isinstance(query, NestedGroupingQuery) else "grouping"
 
         plans: dict[str, PlanNode | None] = {}
         estimates: dict[str, PlanEstimate] = {}
         if kind == "grouping":
+            naive = naive_plan(query, root_tag)
             grouped = rewrite(naive)
             estimates["groupby"] = est.estimate_plan(
                 grouped, "nested-loop", overrides=corrections
@@ -174,7 +171,7 @@ class Optimizer:
                 ),
             ]
         else:
-            collapsed = collapse_nested(nested, root_tag)
+            collapsed = collapse_nested(query, root_tag)
             estimates["isolated-groupby"] = est.estimate_plan(
                 collapsed, "nested-loop", overrides=corrections
             )
@@ -188,7 +185,7 @@ class Optimizer:
                     name="direct-nested-loop",
                     mode="direct",
                     join_strategy="nested-loop",
-                    cost=self._direct_nested_cost(nested),
+                    cost=self._direct_nested_cost(query),
                     rows=isolated.rows,
                 ),
             ]

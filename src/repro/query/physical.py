@@ -31,7 +31,7 @@ The grouping step supports three strategies for ablation A2:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from ..cancellation import checkpoint
 from ..errors import TranslationError
@@ -44,7 +44,15 @@ from ..storage.store import NodeStore
 from ..xmlmodel.node import XMLNode
 from ..xmlmodel.tree import Collection, DataTree
 from .physical_join_support import descend_path
-from .plan import GroupOutputSpec, PlanNode, StitchSpec
+from .plan import NestedGroupSpec, PlanNode, StitchSpec
+from .template import (
+    Ordering,
+    OutputShell,
+    OutputTemplate,
+    TemplateLeaf,
+    aggregate_text,
+    fill_template,
+)
 
 
 @dataclass
@@ -87,36 +95,6 @@ class GroupedSet:
     basis_label: str
     groups: list[tuple[str, StoreMatch, list[StoreMatch]]] = field(default_factory=list)
     # (value, exemplar witness for the basis node, ordered members)
-
-
-@dataclass
-class OutputShell:
-    """An output element that still holds identifiers: stored nodes as
-    nids, constructed children as nested shells.  Construction fills
-    every shell of a result from one batched fetch."""
-
-    tag: str
-    items: list["int | OutputShell"]
-    text: str | None = None
-
-    def nids(self) -> Iterator[int]:
-        """The stored nodes this shell needs, in output order."""
-        for item in self.items:
-            if isinstance(item, OutputShell):
-                yield from item.nids()
-            else:
-                yield item
-
-    def build(self, nodes: Iterator[XMLNode]) -> XMLNode:
-        """The element, drawing its stored nodes from ``nodes`` (which
-        must follow :meth:`nids` order)."""
-        root = XMLNode(self.tag)
-        for item in self.items:
-            root.append_child(
-                item.build(nodes) if isinstance(item, OutputShell) else next(nodes)
-            )
-        root.content = self.text
-        return root
 
 
 class PhysicalExecutor:
@@ -604,17 +582,6 @@ class PhysicalExecutor:
         if not isinstance(source, JoinedSet):
             raise TranslationError("physical stitch expects joined pairs")
         spec: StitchSpec = plan.params["spec"]
-        mode = "values"
-        member_path: tuple[str, ...] = ()
-        for arg in spec.args:
-            if arg.kind == "count":
-                mode = "count"
-                member_path = arg.member_path
-            elif arg.kind == "aggregate":
-                mode = arg.function or "sum"
-                member_path = arg.member_path
-            elif arg.kind == "members":
-                member_path = arg.member_path
 
         order: list[str] = []
         groups: dict[str, list[StoreMatch]] = {}
@@ -628,26 +595,34 @@ class PhysicalExecutor:
             if right is not None:
                 groups[value].append(right)
 
-        output = Collection(name="stitch")
-        for value in order:
-            group_node = self._materialize_binding(exemplars[value], source.left_label)
-            group_members = self._order_joined(groups[value], source.right_label, spec)
-            member_nids = [match.nid(source.right_label) for match in group_members]
-            # Tuple-at-a-time navigation per member — the baseline's
-            # way of reaching the output-path nodes.
+        def resolve(leaf: TemplateLeaf, group: tuple[StoreMatch, list[StoreMatch]]):
+            # The baseline's way: every leaf navigates and materializes
+            # tuple at a time.
+            exemplar, members = group
+            if leaf.kind == "key":
+                return [self._materialize_binding(exemplar, source.left_label)]
             reached = [
                 target
-                for nid in member_nids
-                for target in self._navigate_nids(nid, member_path)
+                for match in self._order_joined(
+                    members, source.right_label, leaf.ordering
+                )
+                for target in self._navigate_nids(
+                    match.nid(source.right_label), leaf.path
+                )
             ]
-            tree = XMLNode(spec.return_tag)
-            tree.append_child(group_node)
-            if mode == "values":
-                for target in reached:
-                    tree.append_child(self.store.materialize(target, with_content=True))
-            else:
-                tree.content = self._aggregate_text(mode, reached)
-            output.append(DataTree(tree))
+            if leaf.kind == "members":
+                return [
+                    self.store.materialize(target, with_content=True)
+                    for target in reached
+                ]
+            return self._aggregate_text(leaf.kind, reached)
+
+        output = Collection(name="stitch")
+        for value in order:
+            shell = fill_template(
+                spec.template, resolve, (exemplars[value], groups[value])
+            )
+            output.append(DataTree(shell.build()))
         return output
 
     def _navigate_nids(self, nid: int, path: tuple[str, ...]) -> list[int]:
@@ -661,26 +636,23 @@ class PhysicalExecutor:
             ]
         return frontier
 
-    def _aggregate_text(self, mode: str, reached: list[int]) -> str | None:
-        """COUNT/SUM/MIN/MAX/AVG over the reached output-path nodes."""
-        from ..core.aggregation import AggregateFunction
-
-        if mode == "count":
+    def _aggregate_text(self, function: str, reached: list[int]) -> str | None:
+        """COUNT/SUM/MIN/MAX/AVG over the reached output-path nodes;
+        only the numeric aggregates fetch values."""
+        if function == "count":
             return str(len(reached))
-        values = [self.store.content(nid) or "" for nid in reached]
-        rendered = AggregateFunction(mode.upper()).compute(values)
-        return rendered if rendered else None
+        return aggregate_text(
+            function, [self.store.content(nid) or "" for nid in reached]
+        )
 
     def _order_joined(
-        self, members: list[StoreMatch], inner_label: str, spec: StitchSpec
+        self, members: list[StoreMatch], inner_label: str, ordering: Ordering
     ) -> list[StoreMatch]:
         """Member ordering for the naive plan's stitch (SORTBY)."""
         from ..core.base import numeric_or_text
 
-        if not spec.ordering:
-            return members
         ordered = members
-        for path, direction in reversed(spec.ordering):
+        for path, direction in reversed(ordering):
             ordered = sorted(
                 ordered,
                 key=lambda match: numeric_or_text(
@@ -688,7 +660,7 @@ class PhysicalExecutor:
                 ),
                 reverse=direction == "DESCENDING",
             )
-        return list(ordered)
+        return ordered
 
     def _navigated_value(self, nid: int, path: tuple[str, ...]) -> str:
         frontier = self._navigate_nids(nid, path)
@@ -700,7 +672,7 @@ class PhysicalExecutor:
         source = self._run(plan.inputs[0])
         if not isinstance(source, GroupedSet):
             raise TranslationError("physical project_groups expects groups")
-        spec: GroupOutputSpec = plan.params["spec"]
+        template: OutputTemplate = plan.params["template"]
 
         # One (group node nid, members) entry per output element.
         if len(plan.inputs) == 1:
@@ -732,11 +704,8 @@ class PhysicalExecutor:
                 for match in outer.matches
             ]
 
-        reach = self._member_reach(source, spec.member_path)
-        shells = [
-            self._group_shell(spec.return_tag, group_nid, reach(members), spec.mode)
-            for group_nid, members in emitted
-        ]
+        resolve = self._group_resolver(source, template)
+        shells = [fill_template(template, resolve, group) for group in emitted]
         return self._construct(shells, "project-groups")
 
     def _exec_nested_groups(self, plan: PlanNode) -> Collection:
@@ -750,18 +719,19 @@ class PhysicalExecutor:
             raise TranslationError("nested_groups expects distinct witness sets")
         if not isinstance(grouped, GroupedSet):
             raise TranslationError("nested_groups expects a grouped inner input")
-        spec = plan.params["spec"]
+        spec: NestedGroupSpec = plan.params["spec"]
         outer_label = self._projected_group_label(outer)
         middle_label = self._projected_group_label(middle)
         groups_by_value = {
             value: members for value, _exemplar, members in grouped.groups
         }
-        reach = self._member_reach(grouped, spec.member_path)
+        resolve_middle = self._group_resolver(grouped, spec.middle)
 
         # Populate each middle representative's link values once — the
         # representative is the *first occurrence* of the distinct value,
-        # exactly the node the middle FOR binds.
-        middle_entries: list[tuple[int, list[int], set[str]]] = []
+        # exactly the node the middle FOR binds.  Its element is built
+        # once and shared by every outer value it links to.
+        middle_entries: list[tuple[OutputShell, set[str]]] = []
         for match in middle.matches:
             checkpoint()
             link_values = {
@@ -769,59 +739,77 @@ class PhysicalExecutor:
                 for nid in self._navigate_nids(match.nid(middle_label), spec.link_path)
             }
             members = groups_by_value.get(self._populate(match, middle_label), [])
-            middle_entries.append((match.nid(middle_label), reach(members), link_values))
+            shell = fill_template(
+                spec.middle, resolve_middle, (match.nid(middle_label), members)
+            )
+            middle_entries.append((shell, link_values))
+
+        def resolve_outer(leaf: TemplateLeaf, group: tuple[int, str]):
+            outer_nid, outer_value = group
+            if leaf.kind == "key":
+                return [outer_nid]
+            return [
+                shell
+                for shell, link_values in middle_entries
+                if outer_value in link_values
+            ]
 
         shells: list[OutputShell] = []
         for outer_match in outer.matches:
             checkpoint()
-            outer_value = self._populate(outer_match, outer_label)
-            shell = OutputShell(spec.outer_tag, [outer_match.nid(outer_label)])
-            shell.items.extend(
-                self._group_shell(spec.middle_tag, middle_nid, reached, spec.mode)
-                for middle_nid, reached, link_values in middle_entries
-                if outer_value in link_values
+            group = (
+                outer_match.nid(outer_label),
+                self._populate(outer_match, outer_label),
             )
-            shells.append(shell)
+            shells.append(fill_template(spec.outer, resolve_outer, group))
         return self._construct(shells, "nested-groups")
 
-    def _member_reach(
-        self, grouped: GroupedSet, member_path: tuple[str, ...]
-    ) -> Callable[[list[StoreMatch]], list[int]]:
-        """Resolve ``member_path`` for all members of all groups in one
-        descent; returns ``members -> reached nids`` (members in their
-        group order, each member's targets in document order).
+    def _group_resolver(
+        self, grouped: GroupedSet, template: OutputTemplate
+    ) -> Callable[[TemplateLeaf, tuple[int, list[StoreMatch]]], "list[int] | str | None"]:
+        """The leaf resolver for every ``(group node nid, members)`` of
+        a result: the grouping node for a key leaf and, per member leaf,
+        the reached nodes themselves or their aggregate.
 
-        Identifier-only: COUNT then never touches a page ("we can
-        perform the count without physically instantiating the book
-        elements"), the numeric aggregates fetch only the reached
-        nodes' values, and values mode fetches exactly the nodes it
-        emits."""
+        Every member path of ``template`` is resolved up front for all
+        members of all groups — one descent per distinct path, however
+        many leaves share it (members in the leaf's order, each
+        member's targets in document order).  Identifier-only: COUNT
+        then never touches a page ("we can perform the count without
+        physically instantiating the book elements"), the numeric
+        aggregates fetch only the reached nodes' values, and values
+        mode fetches exactly the nodes it emits."""
         root_label = grouped.pattern.root.label
-        reached = self._descend(
-            self._member_labels(
-                (match for _, _, members in grouped.groups for match in members),
-                root_label,
-            ),
-            member_path,
+        member_labels = self._member_labels(
+            (match for _, _, members in grouped.groups for match in members),
+            root_label,
         )
+        reached = {
+            path: self._descend(member_labels, path) for path in template.paths()
+        }
+        # GROUPBY ordered the members for the sorted member list; every
+        # other leaf ranges over them in document order.
+        resorted = bool(template.ordering)
 
-        def reach(members: list[StoreMatch]) -> list[int]:
-            return [
+        def resolve(leaf: TemplateLeaf, group: tuple[int, list[StoreMatch]]):
+            group_nid, members = group
+            if leaf.kind == "key":
+                return [group_nid]
+            if resorted and not leaf.ordering:
+                members = sorted(
+                    members, key=lambda match: match.bindings[root_label].start
+                )
+            by_member = reached[leaf.path]
+            nids = [
                 label.nid
                 for match in members
-                for label in reached[match.nid(root_label)]
+                for label in by_member[match.nid(root_label)]
             ]
+            if leaf.kind == "members":
+                return nids
+            return self._aggregate_text(leaf.kind, nids)
 
-        return reach
-
-    def _group_shell(
-        self, tag: str, group_nid: int, reached: list[int], mode: str
-    ) -> OutputShell:
-        """One group's output element: the grouping node, then the
-        reached nodes themselves (``values``) or their aggregate."""
-        if mode == "values":
-            return OutputShell(tag, [group_nid, *reached])
-        return OutputShell(tag, [group_nid], self._aggregate_text(mode, reached))
+        return resolve
 
     def _construct(self, shells: list[OutputShell], name: str) -> Collection:
         """Late value population (Sec. 5.3): one page-ordered fetch for

@@ -23,8 +23,9 @@ op                        params
 ``groupby``               ``pattern``, ``basis``, ``ordering``
 ``aggregate``             ``pattern``, ``function``, ``source_label``,
                           ``new_tag``, ``update``
-``project_groups``        ``spec`` (:class:`GroupOutputSpec`) — the final
-                          projection of Fig. 5.d, fused with construction
+``project_groups``        ``template`` (:class:`~repro.query.template.OutputTemplate`)
+                          — the final projection of Fig. 5.d, fused with
+                          construction: one element per group
 ``nested_groups``         ``spec`` (:class:`NestedGroupSpec`) — join-graph
                           isolation of a 3-level nested FLWR: inputs are the
                           outer distinct values, the middle distinct values,
@@ -41,6 +42,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
 from ..errors import TranslationError
+from .template import OutputTemplate
 
 
 @dataclass
@@ -102,76 +104,34 @@ class PlanNode:
 
 
 @dataclass(frozen=True)
-class ArgSpec:
-    """One RETURN-clause argument in a stitch (naive plan).
-
-    ``kind``:
-
-    * ``outer`` — copy the outer bound node itself (``{$a}``);
-    * ``members`` — per joined tree of the group, select/project a path
-      inside the inner bound subtree (titles);
-    * ``count`` — ``{count($t)}``: the number of output-path nodes
-      reached across the group's joined trees;
-    * ``aggregate`` — ``{sum($t)}`` etc.: ``function`` applied to the
-      output-path node values across the group's joined trees.
-    """
-
-    kind: str
-    member_path: tuple[str, ...] = ()
-    count_tag: str | None = None
-    function: str | None = None  # sum | min | max | avg (kind="aggregate")
-
-
-@dataclass(frozen=True)
 class StitchSpec:
     """How to assemble RETURN output per outer binding (naive plan).
 
     ``outer_label``/``inner_label`` name the join pattern's bound
-    variables whose contents correlate left and right sides; ``args``
-    are emitted in order into a ``return_tag`` element.
+    variables whose contents correlate left and right sides; the
+    ``template`` is instantiated once per outer binding over that
+    binding's joined trees.
     """
 
-    return_tag: str
+    template: OutputTemplate
     outer_label: str
     inner_label: str
-    args: tuple[ArgSpec, ...]
-    # Member ordering: (path from the inner element, direction) pairs.
-    ordering: tuple[tuple[tuple[str, ...], str], ...] = ()
-
-
-@dataclass(frozen=True)
-class GroupOutputSpec:
-    """The final projection over group trees (rewrite Phase 2, step 4).
-
-    Produces one ``return_tag`` element per group: the grouping-basis
-    node, then — depending on ``mode`` — the nodes on ``member_path``
-    per member (``values``), the count of the reached nodes
-    (``count``), or an aggregate of their values (``sum``/``min``/
-    ``max``/``avg``).
-    """
-
-    return_tag: str
-    member_path: tuple[str, ...] = ()
-    mode: str = "values"  # values | count | sum | min | max | avg
-    count_tag: str | None = None
 
 
 @dataclass(frozen=True)
 class NestedGroupSpec:
     """Assembly of a collapsed 3-level nested FLWR (join-graph isolation).
 
-    One ``outer_tag`` element per outer distinct value; inside it, one
-    ``middle_tag`` element per middle distinct value whose ``link_path``
-    values (navigated from the middle representative) contain the outer
-    value; inside *that*, the inner group's members per ``member_path``
-    and ``mode`` — exactly the :class:`GroupOutputSpec` conventions.
+    One ``outer`` element per outer distinct value; its ``groups`` leaf
+    holds one ``middle`` element per middle distinct value whose
+    ``link_path`` values (navigated from the middle representative)
+    contain the outer value; the ``middle`` template is instantiated
+    over the inner group's members exactly as ``project_groups`` does.
     """
 
-    outer_tag: str
-    middle_tag: str
+    outer: OutputTemplate
+    middle: OutputTemplate
     link_path: tuple[str, ...]
-    member_path: tuple[str, ...] = ()
-    mode: str = "values"  # values | count | sum | min | max | avg
 
 
 # ----------------------------------------------------------------------
@@ -246,8 +206,8 @@ def aggregate(
     )
 
 
-def project_groups(child: PlanNode, spec: GroupOutputSpec) -> PlanNode:
-    return PlanNode("project_groups", {"spec": spec}, [child])
+def project_groups(child: PlanNode, template: OutputTemplate) -> PlanNode:
+    return PlanNode("project_groups", {"template": template}, [child])
 
 
 def nested_groups(
@@ -282,17 +242,14 @@ _SUMMARIZERS: dict[str, Callable[[dict], str]] = {
     ),
     "groupby": lambda p: f"basis={p['basis']} order={p['ordering']}",
     "aggregate": lambda p: f"{p['new_tag']}={p['function']}({p['source_label']})",
-    "project_groups": lambda p: (
-        f"-> <{p['spec'].return_tag}> mode={p['spec'].mode} "
-        f"path={'/'.join(p['spec'].member_path) or '-'}"
-    ),
+    "project_groups": lambda p: f"-> {p['template'].render()}",
     "nested_groups": lambda p: (
-        f"-> <{p['spec'].outer_tag}>/<{p['spec'].middle_tag}> "
-        f"link={'/'.join(p['spec'].link_path) or '-'} mode={p['spec'].mode} "
-        f"path={'/'.join(p['spec'].member_path) or '-'}"
+        f"-> {p['spec'].outer.render()} groups={p['spec'].middle.render()} "
+        f"link={'/'.join(p['spec'].link_path) or '-'}"
     ),
     "stitch": lambda p: (
-        f"-> <{p['spec'].return_tag}> by {p['spec'].outer_label}~{p['spec'].inner_label}"
+        f"-> {p['spec'].template.render()} "
+        f"by {p['spec'].outer_label}~{p['spec'].inner_label}"
     ),
     "rename_root": lambda p: f"-> <{p['tag']}>",
 }

@@ -33,7 +33,6 @@ from ..errors import RewriteError
 from ..pattern.pattern import Axis, PatternNode, PatternTree, pcify
 from ..pattern.predicates import TagEquals
 from .plan import (
-    GroupOutputSpec,
     NestedGroupSpec,
     PlanNode,
     StitchSpec,
@@ -45,13 +44,18 @@ from .plan import (
     scan,
     select,
 )
+from .template import Ordering
 from .translate import (
     INNER_LABEL,
     JOIN_VALUE_LABEL,
     OUTER_GROUP_LABEL,
     ROOT_LABEL,
+    GroupingQuery,
     NestedGroupingQuery,
+    attach_filter_chains,
+    naive_plan,
     outer_pattern,
+    recognize_any,
 )
 
 
@@ -212,20 +216,12 @@ def groupby_pattern(
     return PatternTree(root)
 
 
-def ordering_list_for(
-    ordering: tuple[tuple[tuple[str, ...], str], ...]
-) -> list[tuple[tuple[str, ...], str]]:
-    """The GROUPBY ordering-list entries: (path from the grouped
-    element, direction) pairs, navigated per member at materialization."""
-    return [(tuple(path), direction) for path, direction in ordering]
-
-
 def grouping_segment(
     doc: str,
     root_tag: str,
     inner_tag: str,
     condition_path: tuple[str, ...],
-    ordering: tuple[tuple[tuple[str, ...], str], ...],
+    ordering: Ordering,
     filter_chains: tuple[PatternNode, ...],
 ) -> PlanNode:
     """Phase-2 steps 1–3: select + project the inner elements, then
@@ -246,44 +242,27 @@ def grouping_segment(
         projected,
         p_group,
         basis=[GROUP_VALUE + "*"],
-        ordering=ordering_list_for(ordering),
+        # (path from the grouped element, direction) pairs, navigated
+        # per member at materialization.
+        ordering=list(ordering),
     )
 
 
 def rewrite(plan: PlanNode) -> PlanNode:
     """Phase 1 + Phase 2: return the GROUPBY plan for a grouping plan."""
     detected = detect(plan)
-    spec = detected.stitch_spec
+    template = detected.stitch_spec.template
 
     grouped = grouping_segment(
         detected.doc,
         detected.root_tag,
         detected.inner_tag,
         detected.condition_path,
-        spec.ordering,
+        template.ordering,
         detected.filter_chains,
     )
-
-    member_path: tuple[str, ...] = ()
-    mode = "values"
-    count_tag = None
-    for arg in spec.args:
-        if arg.kind == "members":
-            member_path = arg.member_path
-        elif arg.kind == "count":
-            mode = "count"
-            member_path = arg.member_path
-            count_tag = arg.count_tag
-        elif arg.kind == "aggregate":
-            mode = arg.function or "sum"
-            member_path = arg.member_path
-    output_spec = GroupOutputSpec(
-        return_tag=spec.return_tag,
-        member_path=member_path,
-        mode=mode,
-        count_tag=count_tag,
-    )
-    result = project_groups(grouped, output_spec)
+    # Steps 4–5: one GROUPBY feeds every leaf of the RETURN template.
+    result = project_groups(grouped, template)
     if detected.filter_chains:
         # With inner-WHERE filters a grouping value can lose *all* its
         # members; the outer FOR still produces it (the left outer join
@@ -332,23 +311,35 @@ def collapse_nested(query: NestedGroupingQuery, root_tag: str) -> PlanNode:
         _filter_chains_for(inner),
     )
     spec = NestedGroupSpec(
-        outer_tag=query.outer_return_tag,
-        middle_tag=inner.return_tag,
+        outer=query.outer_template,
+        middle=inner.template,
         link_path=query.link_path,
-        member_path=inner.output_path,
-        mode=inner.mode,
     )
     return nested_groups(outer, middle, grouped, spec)
 
 
-def _filter_chains_for(query) -> tuple[PatternNode, ...]:
+def _filter_chains_for(query: GroupingQuery) -> tuple[PatternNode, ...]:
     """Build the ``$f...`` filter chains for a GroupingQuery's inner
     WHERE filters (the 2-level path gets them from the naive pattern;
     the collapse builds them directly)."""
-    from .translate import attach_filter_chains
-
     if not query.filters:
         return ()
     holder = PatternNode("$tmp", TagEquals(query.inner_tag))
     attach_filter_chains(holder, query.filters)
     return tuple(holder.children)
+
+
+def candidate_plans(expr, root_tag: str) -> tuple[PlanNode | None, PlanNode]:
+    """The naive join plan and the GROUPBY plan for a query AST.
+
+    A 3-level nested FLWR has no single naive join plan — join-graph
+    isolation collapses the nesting directly into a grouping plan — so
+    its first element is ``None``.  Raises
+    :class:`~repro.errors.TranslationError`, with the reason of the
+    recognizer the query's clause shape selects, outside the family.
+    """
+    query = recognize_any(expr)
+    if isinstance(query, NestedGroupingQuery):
+        return None, collapse_nested(query, root_tag)
+    naive = naive_plan(query, root_tag)
+    return naive, rewrite(naive)

@@ -20,6 +20,15 @@ Sec. 4.2 — and both produce the pattern trees of Fig. 4:
   content across the sides;
 * the **inner projection pattern tree** (Fig. 4.c): the RETURN path.
 
+Grouping is detected from the join-plan pattern; the RETURN constructor
+only decides what hangs off each group.  It is therefore taken as
+written — attributes, literal text, wrapper elements — into an
+:class:`~repro.query.template.OutputTemplate` whose embedded
+expressions must all range over the *same* join-plan pattern (same
+inner element, join condition and filters): the group key, member
+lists, and ``count``/``sum``/``min``/``max``/``avg`` aggregates, in any
+number and order.
+
 Queries outside the family raise :class:`TranslationError`; the general
 fallback is the direct interpreter.
 """
@@ -27,6 +36,7 @@ fallback is the direct interpreter.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from ..errors import TranslationError
 from ..pattern.pattern import Axis, PatternNode, PatternTree, pcify
@@ -44,10 +54,10 @@ from .ast import (
     LetClause,
     PathExpr,
     Step,
+    TextItem,
     VarRef,
 )
 from .plan import (
-    ArgSpec,
     PlanNode,
     StitchSpec,
     dupelim,
@@ -57,6 +67,7 @@ from .plan import (
     select,
     stitch,
 )
+from .template import Ordering, OutputTemplate, TemplateLeaf
 
 
 @dataclass(frozen=True)
@@ -67,18 +78,20 @@ class GroupingQuery:
     group_tag: str  # the grouping element, e.g. author / institution
     inner_tag: str  # the grouped element, e.g. article
     condition_path: tuple[str, ...]  # path from inner element to the join value
-    output_path: tuple[str, ...]  # path from inner element to the output value
-    return_tag: str
-    mode: str  # "values" | "count" | "sum" | "min" | "max" | "avg"
+    # The RETURN constructor over the one join-plan pattern above: which
+    # projections and aggregates hang off each group.
+    template: OutputTemplate
     nested_form: bool  # True for Query-1 style, False for Query-2 style
-    # Ordering requested via SORTBY, as (path from the inner element,
-    # direction) pairs — becomes the GROUPBY ordering list (Sec. 4.1:
-    # "only if sorting was requested by the user").
-    ordering: tuple[tuple[tuple[str, ...], str], ...] = ()
     # Extra inner-WHERE conjuncts: (path from the inner element, op,
     # literal) filters, e.g. AND $b/year > "1995".  They become value
     # predicates on the selection pattern trees.
     filters: tuple[tuple[tuple[str, ...], str, str], ...] = ()
+
+    @property
+    def ordering(self) -> Ordering:
+        """Ordering requested via SORTBY — becomes the GROUPBY ordering
+        list."""
+        return self.template.ordering
 
 
 @dataclass(frozen=True)
@@ -95,8 +108,44 @@ class NestedGroupingQuery:
     doc: str
     outer_group_tag: str  # e.g. institution
     link_path: tuple[str, ...]  # middle element -> outer value, e.g. (institution,)
-    outer_return_tag: str  # e.g. instpubs
+    # The outer constructor: key leaves for the outer variable and one
+    # ``groups`` leaf where the middle level's elements go.
+    outer_template: OutputTemplate
     inner: GroupingQuery  # the middle/inner 2-level grouping segment
+
+
+def recognize_any(expr: Expr) -> GroupingQuery | NestedGroupingQuery:
+    """Classify an AST by the recognizer its clause shape selects — the
+    3-level one when the RETURN embeds a FLWR over ``distinct-values``,
+    the 2-level one otherwise — so a refusal names the reason that
+    applies to the query as written."""
+    if (
+        isinstance(expr, FLWR)
+        and len(expr.clauses) == 1
+        and isinstance(expr.ret, ElementConstructor)
+        and any(_is_distinct_flwr(embedded) for embedded in _embedded(expr.ret))
+    ):
+        return recognize_nested(expr)
+    return recognize(expr)
+
+
+def _embedded(constructor: ElementConstructor):
+    """Every embedded expression of a constructor, nested elements
+    included."""
+    for item in constructor.items:
+        if isinstance(item, EmbeddedExpr):
+            yield item.expr
+        elif isinstance(item, ElementConstructor):
+            yield from _embedded(item)
+
+
+def _is_distinct_flwr(expr: Expr) -> bool:
+    return (
+        isinstance(expr, FLWR)
+        and bool(expr.clauses)
+        and isinstance(expr.clauses[0], ForClause)
+        and isinstance(expr.clauses[0].source, DistinctValues)
+    )
 
 
 def recognize(expr: Expr) -> GroupingQuery:
@@ -132,6 +181,9 @@ def recognize_nested(expr: Expr) -> NestedGroupingQuery:
           RETURN <middle> {$a} { ...2-level inner FLWR over $a... } </middle>
         } </outer>
 
+    Both constructors are output templates: the outer one may place
+    ``{$i}`` and the one middle FLWR anywhere among text, attributes
+    and wrapper elements; the middle one is the 2-level family's.
     Raises :class:`TranslationError` outside the family.
     """
     if not isinstance(expr, FLWR):
@@ -145,11 +197,22 @@ def recognize_nested(expr: Expr) -> NestedGroupingQuery:
     if expr.sortby:
         raise TranslationError("SORTBY on the outer FLWR is not translatable")
 
-    constructor = _return_constructor(expr.ret)
-    args = _embedded_args(constructor, outer.var)
-    middle = args["inner"]
-    if not isinstance(middle, FLWR):
-        raise TranslationError("second RETURN argument must be a nested FLWR")
+    middles: list[FLWR] = []
+
+    def leaf_for(embedded: Expr) -> TemplateLeaf:
+        if isinstance(embedded, VarRef) and embedded.name == outer.var:
+            return TemplateLeaf("key")
+        if not isinstance(embedded, FLWR):
+            raise TranslationError(
+                "outer RETURN items must be the outer variable or the middle FLWR"
+            )
+        middles.append(embedded)
+        return TemplateLeaf("groups")
+
+    outer_template = _template(_return_constructor(expr.ret), leaf_for)
+    if len(middles) != 1:
+        raise TranslationError("nested grouping needs exactly one middle FLWR")
+    middle = middles[0]
     if len(middle.clauses) != 1 or not isinstance(middle.clauses[0], ForClause):
         raise TranslationError("middle FLWR must have a single FOR clause")
     middle_for = middle.clauses[0]
@@ -168,7 +231,7 @@ def recognize_nested(expr: Expr) -> NestedGroupingQuery:
         doc=doc,
         outer_group_tag=outer_group_tag,
         link_path=link_path,
-        outer_return_tag=constructor.tag,
+        outer_template=outer_template,
         inner=inner,
     )
 
@@ -190,46 +253,94 @@ def _parse_distinct_over_document(source: Expr) -> tuple[str, str]:
     return path.base.name, path.steps[0].name
 
 
+def _template(
+    constructor: ElementConstructor, leaf_for: Callable[[Expr], TemplateLeaf]
+) -> OutputTemplate:
+    """The constructor as an output template: text, attributes and
+    nested elements are construction and carry over as written;
+    ``leaf_for`` classifies each embedded expression (and refuses what
+    the grouping plans cannot compute).  Whitespace between items is
+    not content: the parser never emits it."""
+    items: list = []
+    for item in constructor.items:
+        if isinstance(item, TextItem):
+            items.append(item.text)
+        elif isinstance(item, ElementConstructor):
+            items.append(_template(item, leaf_for))
+        else:
+            items.append(leaf_for(item.expr))
+    return OutputTemplate(constructor.tag, constructor.attributes, tuple(items))
+
+
+def _unwrap_aggregate(expr: Expr) -> tuple[str, Expr]:
+    """``(leaf kind, argument)`` of an embedded expression."""
+    if isinstance(expr, CountCall):
+        return "count", expr.argument
+    if isinstance(expr, AggregateCall):
+        return expr.function, expr.argument  # sum | min | max | avg
+    return "members", expr
+
+
+def _checked_template(
+    constructor: ElementConstructor, leaf_for: Callable[[Expr], TemplateLeaf]
+) -> OutputTemplate:
+    """A 2-level template, with the whole-constructor conditions."""
+    template = _template(constructor, leaf_for)
+    if not template.member_leaves():
+        raise TranslationError(
+            "RETURN has no member list or aggregate over the grouped elements"
+        )
+    if sum(1 for leaf in template.leaves() if leaf.ordering) > 1:
+        # One GROUPBY has one ordering list.
+        raise TranslationError("at most one RETURN item may carry a SORTBY")
+    return template
+
+
 def _recognize_nested(expr: FLWR, outer_var: str, doc: str, group_tag: str) -> GroupingQuery:
     if expr.sortby:
         raise TranslationError("SORTBY on the outer FLWR is not translatable")
-    constructor = _return_constructor(expr.ret)
-    args = _embedded_args(constructor, outer_var)
-    inner_expr = args["inner"]
-    mode = "values"
-    if isinstance(inner_expr, CountCall):
-        inner_expr = inner_expr.argument
-        mode = "count"
-    elif isinstance(inner_expr, AggregateCall):
-        mode = inner_expr.function  # sum | min | max | avg
-        inner_expr = inner_expr.argument
-    if not isinstance(inner_expr, FLWR):
-        raise TranslationError("second RETURN argument must be a nested FLWR")
-    inner = inner_expr
-    if len(inner.clauses) != 1 or not isinstance(inner.clauses[0], ForClause):
-        raise TranslationError("nested FLWR must have a single FOR clause")
-    inner_for = inner.clauses[0]
-    inner_tag = _document_descendant_tag(inner_for.source, doc)
-    condition_path, filters = _where_parts(inner.where, outer_var, inner_for.var)
-    output_path = _relative_path(inner.ret, inner_for.var)
-    ordering = _ordering_from_sortby(inner, output_path, mode)
+    # The join-plan pattern each embedded FLWR ranges over: (inner tag,
+    # condition path, filters).  One GROUPBY serves one pattern.
+    patterns: list[tuple] = []
+
+    def leaf_for(embedded: Expr) -> TemplateLeaf:
+        if isinstance(embedded, VarRef) and embedded.name == outer_var:
+            return TemplateLeaf("key")
+        kind, inner = _unwrap_aggregate(embedded)
+        if not isinstance(inner, FLWR):
+            raise TranslationError(
+                "RETURN items must be the outer variable or a nested FLWR "
+                "(optionally under count/sum/min/max/avg)"
+            )
+        if len(inner.clauses) != 1 or not isinstance(inner.clauses[0], ForClause):
+            raise TranslationError("nested FLWR must have a single FOR clause")
+        inner_for = inner.clauses[0]
+        inner_tag = _document_descendant_tag(inner_for.source, doc)
+        condition_path, filters = _where_parts(inner.where, outer_var, inner_for.var)
+        pattern = (inner_tag, condition_path, filters)
+        if patterns and pattern != patterns[0]:
+            raise TranslationError(
+                "RETURN items range over different join-plan patterns "
+                "(inner element, join condition and filters must agree)"
+            )
+        patterns.append(pattern)
+        path = _relative_path(inner.ret, inner_for.var)
+        return TemplateLeaf(kind, path, _ordering_from_sortby(inner, path, kind))
+
+    template = _checked_template(_return_constructor(expr.ret), leaf_for)
+    inner_tag, condition_path, filters = patterns[0]
     return GroupingQuery(
         doc=doc,
         group_tag=group_tag,
         inner_tag=inner_tag,
         condition_path=condition_path,
-        output_path=output_path,
-        return_tag=constructor.tag,
-        mode=mode,
+        template=template,
         nested_form=True,
-        ordering=ordering,
         filters=filters,
     )
 
 
-def _ordering_from_sortby(
-    inner: FLWR, output_path: tuple[str, ...], mode: str
-) -> tuple[tuple[tuple[str, ...], str], ...]:
+def _ordering_from_sortby(inner: FLWR, output_path: tuple[str, ...], kind: str) -> Ordering:
     """Translate the inner SORTBY keys to paths from the inner element.
 
     A ``.`` key sorts by the returned value itself (the output path);
@@ -237,16 +348,12 @@ def _ordering_from_sortby(
     """
     if not inner.sortby:
         return ()
-    if mode != "values":
+    if kind != "members":
         raise TranslationError("SORTBY is meaningless under an aggregate")
-    ordering = []
-    for key in inner.sortby:
-        if key.path == (".",):
-            path = output_path
-        else:
-            path = output_path + key.path
-        ordering.append((path, key.direction))
-    return tuple(ordering)
+    return tuple(
+        (output_path if key.path == (".",) else output_path + key.path, key.direction)
+        for key in inner.sortby
+    )
 
 
 def _recognize_unnested(expr: FLWR, outer_var: str, doc: str, group_tag: str) -> GroupingQuery:
@@ -274,18 +381,18 @@ def _recognize_unnested(expr: FLWR, outer_var: str, doc: str, group_tag: str) ->
         if step.axis != "/" or step.predicate is not None:
             raise TranslationError("LET output path must use simple child steps")
 
-    constructor = _return_constructor(expr.ret)
-    args = _embedded_args(constructor, outer_var)
-    inner_expr = args["inner"]
-    mode = "values"
-    if isinstance(inner_expr, CountCall):
-        inner_expr = inner_expr.argument
-        mode = "count"
-    elif isinstance(inner_expr, AggregateCall):
-        mode = inner_expr.function
-        inner_expr = inner_expr.argument
-    if not isinstance(inner_expr, VarRef) or inner_expr.name != let.var:
-        raise TranslationError("second RETURN argument must use the LET variable")
+    def leaf_for(embedded: Expr) -> TemplateLeaf:
+        if isinstance(embedded, VarRef) and embedded.name == outer_var:
+            return TemplateLeaf("key")
+        kind, argument = _unwrap_aggregate(embedded)
+        if not isinstance(argument, VarRef) or argument.name != let.var:
+            raise TranslationError(
+                "RETURN items must be the outer variable or the LET variable "
+                "(optionally under count/sum/min/max/avg)"
+            )
+        return TemplateLeaf(kind, output_path)
+
+    template = _checked_template(_return_constructor(expr.ret), leaf_for)
     if expr.sortby:
         raise TranslationError("SORTBY on the outer FLWR is not translatable")
     return GroupingQuery(
@@ -293,9 +400,7 @@ def _recognize_unnested(expr: FLWR, outer_var: str, doc: str, group_tag: str) ->
         group_tag=group_tag,
         inner_tag=inner_tag,
         condition_path=condition_path,
-        output_path=output_path,
-        return_tag=constructor.tag,
-        mode=mode,
+        template=template,
         nested_form=False,
     )
 
@@ -304,26 +409,6 @@ def _return_constructor(ret: Expr) -> ElementConstructor:
     if not isinstance(ret, ElementConstructor):
         raise TranslationError("RETURN must construct an element")
     return ret
-
-
-def _embedded_args(constructor: ElementConstructor, outer_var: str) -> dict[str, Expr]:
-    """The two embedded expressions of a grouping RETURN constructor.
-
-    The grouping plans construct ``<tag>{outer}{inner}</tag>`` and
-    nothing else, so a constructor that also carries attributes,
-    literal text or nested elements is refused (``auto`` then answers
-    it with the direct interpreter) rather than translated with those
-    parts silently dropped.  Whitespace between items is not content:
-    the parser never emits it."""
-    if constructor.attributes:
-        raise TranslationError("RETURN constructor attributes are not translatable")
-    embedded = constructor.items
-    if len(embedded) != 2 or not all(isinstance(item, EmbeddedExpr) for item in embedded):
-        raise TranslationError("RETURN must have exactly two embedded expressions")
-    first = embedded[0].expr
-    if not isinstance(first, VarRef) or first.name != outer_var:
-        raise TranslationError("first RETURN argument must be the outer variable")
-    return {"outer": first, "inner": embedded[1].expr}
 
 
 def _document_descendant_tag(source: Expr, doc: str) -> str:
@@ -537,31 +622,10 @@ def naive_plan(query: GroupingQuery, root_tag: str) -> PlanNode:
     deduped = dupelim(joined, by_nids=True)
 
     # Step 2b + stitching: RETURN-argument processing per outer binding.
-    if query.mode == "count":
-        args = (
-            ArgSpec(kind="outer"),
-            ArgSpec(kind="count", member_path=query.output_path),
-        )
-    elif query.mode == "values":
-        args = (
-            ArgSpec(kind="outer"),
-            ArgSpec(kind="members", member_path=query.output_path),
-        )
-    else:
-        args = (
-            ArgSpec(kind="outer"),
-            ArgSpec(
-                kind="aggregate",
-                member_path=query.output_path,
-                function=query.mode,
-            ),
-        )
     spec = StitchSpec(
-        return_tag=query.return_tag,
+        template=query.template,
         outer_label=OUTER_GROUP_LABEL,
         inner_label=INNER_LABEL,
-        args=args,
-        ordering=query.ordering,
     )
     return stitch(deduped, spec)
 

@@ -9,7 +9,7 @@ import pytest
 from repro.cluster import LocalCluster, LocalClusterConfig
 from repro.datagen.dblp import DBLPConfig, generate_dblp
 from repro.datagen.sample import QUERY_1, QUERY_2, QUERY_COUNT
-from repro.errors import ClusterError, ClusterMergeError
+from repro.errors import ClusterError, ClusterMergeError, RemoteError, TranslationError
 from repro.query.database import PLAN_MODES, Database
 from repro.xmlmodel.diff import assert_collections_equal
 
@@ -51,6 +51,28 @@ def test_identity_across_plan_modes(topology, single_node, mode):
     want = single_node.query(QUERY_1, plan=mode).collection
     got = cluster.query(QUERY_1, plan=mode)
     assert_collections_equal(want, got.collection)
+
+
+def test_forced_plan_modes_mean_what_they_mean_on_one_node(topology, single_node):
+    # ``{$a/institution}`` keeps the query (and so its shard form)
+    # outside the grouping family: ``auto`` answers it with ``direct``
+    # everywhere, a forced grouping mode is refused everywhere — typed,
+    # and without benching the shards that said so.
+    shards, cluster = topology
+    query = """
+    FOR $a IN distinct-values(document("bib.xml")//author)
+    LET $t := document("bib.xml")//article[author = $a]/title
+    RETURN <r>{$a/institution} {count($t)}</r>
+    """
+    assert_collections_equal(
+        single_node.query(query).collection, cluster.query(query).collection
+    )
+    with pytest.raises(TranslationError):
+        single_node.query(query, plan="groupby")
+    with pytest.raises(RemoteError) as excinfo:
+        cluster.query(query, plan="groupby")
+    assert excinfo.value.kind == "TranslationError"
+    assert cluster.coordinator.quarantined_shards() == frozenset()
 
 
 def test_concat_scalar_and_sortby_through_coordinator(topology, single_node):
@@ -114,6 +136,7 @@ def test_explain_has_cluster_section_and_local_plan(topology):
     assert "=== cluster plan ===" in text
     assert f"{shards} slice(s)" in text
     assert "merge:" in text
+    assert "shard statistics version:" in text
     payload = explanation.to_dict()
     assert payload["cluster"]["document"] == "bib.xml"
     assert len(payload["cluster"]["slices"]) == shards

@@ -37,12 +37,12 @@ def _slices(root: XMLNode, count: int) -> list[XMLNode]:
     return pieces
 
 
-def _run_sliced(query: str, count: int) -> Collection:
+def _run_sliced(query: str, count: int, root: XMLNode | None = None) -> Collection:
     """Execute ``query`` the coordinator's way, in-process: rewrite,
     run per slice, merge, re-sort."""
     plan = compile_merge(parse_query(query))
     slice_rows = []
-    for piece in _slices(figure6_database(), count):
+    for piece in _slices(root if root is not None else figure6_database(), count):
         db = Database()
         db.load(tree=piece, name="bib.xml")
         slice_rows.append(
@@ -52,9 +52,9 @@ def _run_sliced(query: str, count: int) -> Collection:
     return Collection([DataTree(row) for row in merged])
 
 
-def _single(query: str) -> Collection:
+def _single(query: str, root: XMLNode | None = None) -> Collection:
     db = Database()
-    db.load(tree=figure6_database(), name="bib.xml")
+    db.load(tree=root if root is not None else figure6_database(), name="bib.xml")
     return db.query(query).collection
 
 
@@ -67,10 +67,40 @@ def test_sliced_grouping_identical_to_single_node(query, count):
 def test_group_plan_classification():
     plan = compile_merge(parse_query(QUERY_1))
     assert plan.kind == "group"
-    assert [item.kind for item in plan.items] == ["key", "list"]
+    assert [item.kind for item in plan.items] == ["group", "list"]
     assert plan.row_tag == "authorpubs"
     plan2 = compile_merge(parse_query(QUERY_COUNT))
-    assert [item.kind for item in plan2.items] == ["key", "count"]
+    assert [item.kind for item in plan2.items] == ["group", "count"]
+
+
+def test_group_variable_ships_once():
+    # ``{$a}`` is rebuilt from the hidden <zk>; only expressions that
+    # merely *depend* on the group variable travel in their own wrapper.
+    plan = compile_merge(parse_query(QUERY_1))
+    assert plan.shard_query.count("{$a}") == 1
+    assert "<z0>" not in plan.shard_query
+    twice = """
+    FOR $a IN distinct-values(document("bib.xml")//author)
+    LET $t := document("bib.xml")//article[author = $a]/title
+    RETURN <r>{$a} {count($t)} {$a/institution} {$a}</r>
+    """
+    plan = compile_merge(parse_query(twice))
+    assert [item.kind for item in plan.items] == ["group", "count", "key", "group"]
+    assert plan.shard_query.count("{$a}") == 1
+    for count in (1, 2, 3):
+        assert_collections_equal(_single(twice), _run_sliced(twice, count))
+
+
+def test_member_list_sortby_reapplied_to_the_concatenation():
+    query = QUERY_1.replace("RETURN $b/title", "RETURN $b/title SORTBY(. DESCENDING)")
+    plan = compile_merge(parse_query(query))
+    assert "SORTBY" not in plan.shard_query
+    assert plan.items[1].sortby and "SORTBY" in plan.describe()
+    for count in (1, 2, 3):
+        assert_collections_equal(_single(query), _run_sliced(query, count))
+    atomic = QUERY_1.replace("RETURN $b/title", "RETURN $b/@id SORTBY(.)")
+    with pytest.raises(ClusterMergeError):
+        compile_merge(parse_query(atomic))
 
 
 def test_shard_query_reparses():
@@ -102,6 +132,40 @@ def test_sortby_reapplied_after_merge():
     assert "SORTBY" not in plan.shard_query
     for count in (1, 2, 3):
         assert_collections_equal(_single(query), _run_sliced(query, count))
+
+
+def test_groups_union_by_the_value_distinct_values_compares():
+    # distinct-values compares a stored node's own content: Ann/UM and
+    # Ann/MIT are one group on one node, so their slices' rows must
+    # union — and a list of mixed-content nodes sorts on the same value
+    # ("V1" < "V10", where the subtree strings give "V19" > "V101").
+    from repro.xmlmodel.parse import parse_document
+
+    def root():
+        return parse_document(
+            "<doc_root>"
+            "<article><year>2000</year><venue>V1<vol>9</vol></venue>"
+            "<author>Ann<institution>UM</institution></author></article>"
+            "<article><year>2000</year><venue>V10<vol>1</vol></venue>"
+            "<author>Bob</author></article>"
+            "<article><year>2000</year><venue>V1<vol>0</vol></venue>"
+            "<author>Ann<institution>MIT</institution></author></article>"
+            "<article><year>2000</year><venue>V10<vol>2</vol></venue>"
+            "<author>Bob</author></article>"
+            "</doc_root>"
+        )
+
+    by_author = QUERY_1.replace("$b/title", "$b/venue")
+    by_year = """
+    FOR $y IN distinct-values(document("bib.xml")//year)
+    RETURN <r>{$y}{FOR $b IN document("bib.xml")//article
+    WHERE $y = $b/year RETURN $b/venue SORTBY(.)}</r>
+    """
+    for query in (by_author, by_year):
+        want = _single(query, root())
+        assert len(want) == (2 if query is by_author else 1)
+        for count in (2, 4):
+            assert_collections_equal(want, _run_sliced(query, count, root()))
 
 
 def test_concat_and_scalar_count_shapes():

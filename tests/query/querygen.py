@@ -16,12 +16,18 @@ Values-mode output paths are one or two steps, reach zero, one or
 several nodes per member, and end on leaves or on elements with
 children.
 
-A fraction of the queries are *decorated*: their RETURN constructor
-carries an attribute, a literal text item or a wrapper element around
-the member list.  The grouping plans cannot construct those, so the
-translator must refuse them — forced plan modes raise
-``TranslationError`` and ``auto`` falls back to ``direct`` — instead of
-answering with the decoration silently dropped.
+The RETURN constructor is an output template, so most queries carry
+more than the bare ``<tag>{$g}{body}</tag>``: several member lists and
+aggregates over the same join-plan pattern (``{$g} {count(…)}
+{…/title}``, two lists over different paths, ``avg`` beside ``sum``),
+the key anywhere, twice or not at all, and decoration — attributes,
+literal text, wrapper elements (attributed themselves) around items.
+Every plan must answer all of them exactly as ``direct`` does.
+
+A small fraction stay *untranslatable*: one RETURN item ranges over a
+different join-plan pattern (an extra filter), which no single GROUPBY
+computes.  Forced plan modes must refuse those with
+``TranslationError`` and ``auto`` must fall back to ``direct``.
 
 Determinism: everything derives from one ``random.Random(seed)``; the
 same seed always yields the same document and query sequence.
@@ -43,9 +49,9 @@ class GeneratedQuery:
 
     text: str
     family: str  # "grouping" | "nested"
-    mode: str  # values | count | sum | min | max | avg
+    mode: str  # of the first RETURN item: values | count | sum | min | max | avg
     group_tag: str
-    decorated: bool = False  # RETURN shape outside the translatable family
+    translatable: bool = True  # False: forced plans must refuse, auto = direct
 
 
 class QueryGenerator:
@@ -102,32 +108,12 @@ class QueryGenerator:
                 ("institution", "$b/author/institution"),
             ]
         )
-        mode = rng.choice(["values", "values", "count", "sum", "min", "max", "avg"])
-        if mode in ("sum", "min", "max", "avg"):
-            output = rng.choice(["year", "venue/volume"])
-        else:
-            output = rng.choice(
-                ["title", "year", "venue/name", "venue", "author/institution"]
-            )
         where = f"WHERE $g = {condition}"
         if rng.random() < 0.35:
             op = rng.choice(["=", "<", ">", "<=", ">="])
             literal = rng.choice(YEARS)
             where += f' AND $b/year {op} "{literal}"'
-        inner = (
-            f'FOR $b IN document("bib.xml")//article\n'
-            f"{where}\n"
-            f"RETURN $b/{output}"
-        )
-        # SORTBY orders the returned items; the plans order members by
-        # their first reached value — the same thing only where a member
-        # contributes at most one item, so the multi-target path gets none.
-        if mode == "values" and output != "author/institution" and rng.random() < 0.3:
-            key = rng.choice(["name", "volume"]) if output == "venue" else "."
-            direction = rng.choice(["ASCENDING", "DESCENDING"])
-            inner += f" SORTBY({key} {direction})"
-        body = f"{{{mode}({inner})}}" if mode != "values" else f"{{{inner}}}"
-        constructor, decorated = self._constructor("grp", "{$g}", body)
+        constructor, mode, translatable = self._constructor("grp", "$g", where)
         text = (
             f'FOR $g IN distinct-values(document("bib.xml")//{group_tag})\n'
             f"RETURN {constructor}"
@@ -137,44 +123,108 @@ class QueryGenerator:
             family="grouping",
             mode=mode,
             group_tag=group_tag,
-            decorated=decorated,
+            translatable=translatable,
         )
 
-    def _constructor(self, tag: str, key: str, body: str) -> tuple[str, bool]:
-        """``<tag>{key}{body}</tag>``, decorated one time in five."""
+    def _item(self, where: str, sortable: bool, modes) -> tuple[str, str, bool]:
+        """One embedded RETURN item over the join-plan pattern ``where``
+        selects: ``(text, mode, carries a SORTBY)``."""
         rng = self.rng
-        if rng.random() >= 0.2:
-            return f"<{tag}>{key}{body}</{tag}>", False
-        decoration = rng.choice(["attribute", "text", "wrapper"])
-        if decoration == "attribute":
-            return f'<{tag} kind="x">{key}{body}</{tag}>', True
-        if decoration == "text":
-            return f"<{tag}>pubs of {key}{body}</{tag}>", True
-        return f"<{tag}>{key}<list>{body}</list></{tag}>", True
+        mode = rng.choice(modes)
+        if mode in ("sum", "min", "max", "avg"):
+            output = rng.choice(["year", "venue/volume"])
+        else:
+            output = rng.choice(
+                ["title", "year", "venue/name", "venue", "author/institution"]
+            )
+        inner = (
+            f'FOR $b IN document("bib.xml")//article\n'
+            f"{where}\n"
+            f"RETURN $b/{output}"
+        )
+        # SORTBY orders the returned items; the plans order members by
+        # their first reached value — the same thing only where a member
+        # contributes at most one item, so the multi-target path gets none.
+        sorts = (
+            sortable
+            and mode == "values"
+            and output != "author/institution"
+            and rng.random() < 0.3
+        )
+        if sorts:
+            key = rng.choice(["name", "volume"]) if output == "venue" else "."
+            direction = rng.choice(["ASCENDING", "DESCENDING"])
+            inner += f" SORTBY({key} {direction})"
+        body = f"{{{mode}({inner})}}" if mode != "values" else f"{{{inner}}}"
+        return body, mode, sorts
+
+    def _constructor(
+        self,
+        tag: str,
+        key: str,
+        where: str,
+        modes=("values", "values", "count", "sum", "min", "max", "avg"),
+    ) -> tuple[str, str, bool]:
+        """A RETURN constructor over one join-plan pattern:
+        ``(text, first item's mode, translatable)``.  Half are the bare
+        ``<tag>{key}{body}</tag>``; the rest mix one to three items with
+        the key (anywhere, twice, or absent), wrappers, attributes and
+        literal text."""
+        rng = self.rng
+        if rng.random() < 0.5:
+            body, mode, _ = self._item(where, True, modes)
+            return f"<{tag}>{{{key}}}{body}</{tag}>", mode, True
+        items: list[str] = []
+        first_mode = ""
+        sortable = True
+        for index in range(rng.randint(1, 3)):
+            body, mode, sorted_ = self._item(where, sortable, modes)
+            sortable = sortable and not sorted_  # one ordering list per GROUPBY
+            first_mode = first_mode or mode
+            wrap = rng.random()
+            if wrap < 0.2:
+                body = f"<w{index}>{body}</w{index}>"
+            elif wrap < 0.3:
+                body = f'<w{index} n="{index}">of {body}</w{index}>'
+            items.append(body)
+        translatable = True
+        if rng.random() < 0.1:
+            # One more list over a *different* join-plan pattern.
+            body, _, _ = self._item(where + ' AND $b/year != "1990"', False, ["values"])
+            items.append(body)
+            translatable = False
+        for _ in range(rng.choice([0, 1, 1, 1, 2])):
+            items.insert(rng.randint(0, len(items)), f"{{{key}}}")
+        if rng.random() < 0.3:
+            items.insert(rng.randint(0, len(items)), rng.choice(["pubs of", "n ="]))
+        attribute = ' kind="x"' if rng.random() < 0.3 else ""
+        return f"<{tag}{attribute}>{' '.join(items)}</{tag}>", first_mode, translatable
 
     def _nested_query(self) -> GeneratedQuery:
         rng = self.rng
-        mode = rng.choice(["values", "values", "count"])
-        output = rng.choice(["title", "year"])
-        inner = (
-            f'FOR $b IN document("bib.xml")//article\n'
-            f"WHERE $a = $b/author\n"
-            f"RETURN $b/{output}"
+        middle, mode, translatable = self._constructor(
+            "authorpubs", "$a", "WHERE $a = $b/author", modes=("values", "values", "count")
         )
-        body = f"{{count({inner})}}" if mode == "count" else f"{{{inner}}}"
-        middle, decorated = self._constructor("authorpubs", "{$a}", body)
+        flwr = (
+            f'{{\nFOR $a IN distinct-values(document("bib.xml")//author)\n'
+            f"WHERE $i = $a/institution\n"
+            f"RETURN {middle}\n}}"
+        )
+        decoration = rng.random()
+        if decoration < 0.6:
+            outer = f"<instpubs>{{$i}}{flwr}</instpubs>"
+        elif decoration < 0.8:
+            outer = f'<instpubs kind="x">at {{$i}}<who>{flwr}</who></instpubs>'
+        else:
+            outer = f"<instpubs>{flwr} {{$i}}</instpubs>"
         text = (
             f'FOR $i IN distinct-values(document("bib.xml")//institution)\n'
-            f"RETURN <instpubs>{{$i}}{{\n"
-            f'FOR $a IN distinct-values(document("bib.xml")//author)\n'
-            f"WHERE $i = $a/institution\n"
-            f"RETURN {middle}\n"
-            f"}}</instpubs>"
+            f"RETURN {outer}"
         )
         return GeneratedQuery(
             text=text,
             family="nested",
             mode=mode,
             group_tag="institution",
-            decorated=decorated,
+            translatable=translatable,
         )

@@ -87,17 +87,22 @@ def test_differential_identity_across_engines_and_toggles():
                     got = db.query(query.text, plan=mode).collection
                 except TranslationError:
                     # Only the naive join engines on the 3-level family
-                    # may refuse, and forced plans on a decorated RETURN
+                    # may refuse, and forced plans on a RETURN whose
+                    # items range over different join-plan patterns
                     # must (``auto`` falls back to direct instead);
                     # anything else is a planning bug.
                     if query.family == "nested" and mode in NAIVE_MODES:
                         continue
-                    if query.decorated and mode != "auto":
+                    if not query.translatable and mode != "auto":
                         continue
                     _record_failure(
                         query, label, "unexpected TranslationError", failures
                     )
                     continue
+                if not query.translatable and mode != "auto":
+                    _record_failure(
+                        query, label, "forced plan did not refuse", failures
+                    )
                 report = diff_collections(got, reference)
                 if report is not None:
                     _record_failure(query, label, str(report), failures)
@@ -116,7 +121,7 @@ def test_nested_family_routes_through_collapse():
     generator = QueryGenerator(SEED)
     document = generator.document()
     nested = [
-        q for q in generator.queries(60) if q.family == "nested" and not q.decorated
+        q for q in generator.queries(60) if q.family == "nested" and q.translatable
     ]
     if not nested:  # pragma: no cover - seed-dependent guard
         pytest.skip("seed produced no nested queries in 60 draws")

@@ -66,8 +66,8 @@ class TestAggregateModes:
 
     def test_rewritten_plan_mode(self, years_db):
         _, grouped = years_db.plans_for(grouped_query("sum"))
-        assert grouped.params["spec"].mode == "sum"
-        assert grouped.params["spec"].member_path == ("year",)
+        [leaf] = grouped.params["template"].member_leaves()
+        assert (leaf.kind, leaf.path) == ("sum", ("year",))
 
 
 class TestCountSemantics:

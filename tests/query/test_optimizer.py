@@ -141,21 +141,19 @@ class TestCostModelExplain:
         assert prepared.resolved is PlanMode.DIRECT
         assert prepared.decision is None
 
-    def test_explain_reports_direct_for_the_cluster_shard_query(self):
-        """The coordinator's ``<zrow>`` partial of QUERY_1 is answered
-        under ``direct``; EXPLAIN must say so instead of raising."""
+    def test_explain_reports_groupby_for_the_cluster_shard_query(self):
+        """The coordinator's ``<zrow>`` partial of QUERY_1 is a grouping
+        template like any other: costed, and answered by ``groupby``."""
         from repro.cluster.merge import compile_merge
         from repro.query.parser import parse_query
 
         db = _fig6_db()
         shard_query = compile_merge(parse_query(QUERY_1)).shard_query
-        assert db.query(shard_query).plan_mode == "direct"
+        assert db.query(shard_query).plan_mode == "groupby"
         for verbose in (False, True):
-            explanation = db.explain(shard_query, verbose=verbose)
-            assert "plan: direct" in explanation.render()
-            payload = explanation.to_dict()
-            assert payload["plan"] == "direct"
-            assert "exactly two embedded expressions" in payload["reason"]
+            payload = db.explain(shard_query, verbose=verbose).to_dict()
+            assert payload["cost_model"]["chosen"]["name"] == "groupby"
+            assert "plan" not in payload
 
 
 class TestPlanChoice:

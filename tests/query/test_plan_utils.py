@@ -4,8 +4,6 @@ import pytest
 
 from repro.errors import TranslationError
 from repro.query.plan import (
-    ArgSpec,
-    GroupOutputSpec,
     PlanNode,
     StitchSpec,
     dupelim,
@@ -18,6 +16,11 @@ from repro.query.plan import (
     stitch,
 )
 from repro.query.rewrite import groupby_pattern, initial_pattern
+from repro.query.template import OutputTemplate, TemplateLeaf
+
+TITLES = OutputTemplate(
+    "out", (), (TemplateLeaf("key"), TemplateLeaf("members", ("title",)))
+)
 
 
 def sample_plan() -> PlanNode:
@@ -25,10 +28,7 @@ def sample_plan() -> PlanNode:
     gp = groupby_pattern("article", ("author",))
     base = project(select(scan("bib.xml"), pattern, {"$2"}), pattern, ["$2*"])
     grouped = groupby(base, gp, ["$2"], [])
-    return project_groups(
-        grouped,
-        GroupOutputSpec(return_tag="out", member_path=("title",)),
-    )
+    return project_groups(grouped, TITLES)
 
 
 class TestNavigation:
@@ -91,11 +91,8 @@ class TestExplain:
             dupelim(scan("d"), pattern, "$2"),
             dupelim(scan("d")),
             groupby(scan("d"), groupby_pattern("article", ("author",)), ["$2"], []),
-            project_groups(scan("d"), GroupOutputSpec("t", ("title",))),
-            stitch(
-                scan("d"),
-                StitchSpec("t", "$2", "$5", (ArgSpec("outer"),)),
-            ),
+            project_groups(scan("d"), TITLES),
+            stitch(scan("d"), StitchSpec(TITLES, "$2", "$5")),
             rename_root(scan("d"), "t"),
         ]
         for node in nodes:

@@ -96,14 +96,16 @@ class TestRewrittenPlan:
         assert rewritten.find("left_outer_join") == []
 
     def test_output_spec_values_mode(self):
-        spec = rewrite(plan_for(QUERY_1)).params["spec"]
-        assert spec.return_tag == "authorpubs"
-        assert spec.mode == "values"
-        assert spec.member_path == ("title",)
+        template = rewrite(plan_for(QUERY_1)).params["template"]
+        assert template.tag == "authorpubs"
+        assert [(leaf.kind, leaf.path) for leaf in template.leaves()] == [
+            ("key", ()),
+            ("members", ("title",)),
+        ]
 
     def test_output_spec_count_mode(self):
-        spec = rewrite(plan_for(QUERY_COUNT)).params["spec"]
-        assert spec.mode == "count"
+        template = rewrite(plan_for(QUERY_COUNT)).params["template"]
+        assert [leaf.kind for leaf in template.leaves()] == ["key", "count"]
 
     def test_groupby_params(self):
         rewritten = rewrite(plan_for(QUERY_1))
