@@ -72,7 +72,8 @@ from ..service.client import (
 from ..observability.counters import CounterSnapshot
 from ..xmlmodel.node import XMLNode
 from ..xmlmodel.parse import parse_document
-from ..xmlmodel.serialize import serialize
+from ..xmlmodel.serialize import serialize, serialize_collection
+from ..xmlmodel.table import ResultTable
 from ..xmlmodel.tree import Collection, DataTree
 from .client import ShardClient
 from .merge import (
@@ -84,9 +85,6 @@ from .merge import (
     rename_document,
 )
 from .shardmap import DocumentPlacement, ShardMap, SlicePlacement, replica_alias
-
-#: Synthetic root the coordinator parses a shard's row payload under.
-_ROWS_WRAPPER = "zrows"
 
 #: Server-side ``ERR`` kinds a *different* holder might still serve
 #: (capacity/deadline conditions).  Any other RemoteError means the
@@ -208,10 +206,7 @@ class ClusterResult:
         return len(self.collection)
 
     def to_xml(self, indent: str | None = "  ") -> str:
-        joiner = "" if indent else "\n"
-        return joiner.join(
-            serialize(tree.root, indent=indent) for tree in self.collection
-        )
+        return serialize_collection(self.collection, indent)
 
 
 @dataclass(frozen=True)
@@ -449,8 +444,8 @@ class ClusterCoordinator:
         aliased = rename_document(
             text, {placement.name: replica_alias(placement.name, slot.index)}
         )
-        reply = self._call_slice(slot, text, aliased, plan, deadline)
-        if reply is None:
+        rows = self._call_slice(slot, text, aliased, plan, deadline)
+        if rows is None:
             if allow_partial:
                 self.counters.add("partial_results")
                 return [], set(slot.holders)
@@ -459,7 +454,7 @@ class ClusterCoordinator:
                 f"(shards {sorted(slot.holders)})",
                 missing_shards=frozenset(slot.holders),
             )
-        return _rows_from(reply), set()
+        return rows, set()
 
     def _run_partitioned(
         self, placement, merge_plan: MergePlan, plan, deadline, allow_partial
@@ -475,14 +470,11 @@ class ClusterCoordinator:
 
             def run(slot=slot, aliased=aliased):
                 try:
-                    reply = self._call_slice(
+                    slice_rows[slot.index] = self._call_slice(
                         slot, merge_plan.shard_query, aliased, plan, deadline
                     )
                 except Exception as error:  # noqa: BLE001 - re-raised below
                     fatal.append(error)
-                    return
-                if reply is not None:
-                    slice_rows[slot.index] = _rows_from(reply)
 
             worker = threading.Thread(
                 target=run, name=f"cluster-slice-{slot.index}", daemon=True
@@ -525,10 +517,11 @@ class ClusterCoordinator:
         replica_text: str,
         plan: str | None,
         deadline: float,
-    ) -> dict | None:
+    ) -> list[XMLNode] | None:
         """The fan-out unit: try the slice's holders until one answers
-        or the deadline passes.  Returns ``None`` when the slice could
-        not be served (the caller decides whether that is fatal)."""
+        or the deadline passes.  Returns the slice's result rows, or
+        ``None`` when the slice could not be served (the caller decides
+        whether that is fatal)."""
         candidates = [
             (shard, primary_text if shard == slot.primary else replica_text)
             for shard in self._candidate_order(slot)
@@ -541,7 +534,7 @@ class ClusterCoordinator:
 
         def attempt(shard: int, text: str, hedged: bool) -> None:
             try:
-                reply = self._shard_query(shard, text, plan, deadline)
+                rows = self._shard_query(shard, text, plan, deadline)
             except Exception as error:  # noqa: BLE001 - collected, typed upstream
                 if _is_failover(error):
                     self._record_failure(shard)
@@ -553,7 +546,7 @@ class ClusterCoordinator:
                     results.put(("fatal", shard, hedged, error))
             else:
                 self._record_success(shard)
-                results.put((reply, shard, hedged, None))
+                results.put((rows, shard, hedged, None))
 
         def launch(hedged: bool) -> None:
             nonlocal in_flight, launched
@@ -579,7 +572,7 @@ class ClusterCoordinator:
             if launched < len(candidates):
                 wait = min(wait, max(hedge_at - self._clock(), 0.0))
             try:
-                reply, shard, hedged, error = results.get(
+                rows, shard, hedged, error = results.get(
                     timeout=max(wait, 0.005)
                 )
             except queue.Empty:
@@ -588,13 +581,13 @@ class ClusterCoordinator:
                     hedge_at = self._clock() + self.config.hedge_delay
                 continue
             in_flight -= 1
-            if reply == "fatal":
+            if rows == "fatal":
                 assert error is not None
                 raise error
-            if reply is not None:
+            if rows is not None:
                 if hedged:
                     self.counters.add("hedge_wins")
-                return reply
+                return rows
             if launched < len(candidates):
                 launch(hedged=False)
         return None
@@ -616,7 +609,11 @@ class ClusterCoordinator:
 
     def _shard_query(
         self, shard: int, text: str, plan: str | None, deadline: float
-    ) -> dict:
+    ) -> list[XMLNode]:
+        """One shard call.  The shard ships its rows as a result-table
+        frame; a frame that does not decode fails the call like any
+        other transport error (the next holder is tried), so half a
+        table is never merged."""
         remaining = deadline - self._clock()
         if remaining <= 0:
             raise ClusterError(f"deadline exhausted before calling shard {shard}")
@@ -625,13 +622,16 @@ class ClusterCoordinator:
         self.counters.add("shard_calls")
         try:
             client.set_read_timeout(remaining + 1.0)
-            reply = client.query(text, plan=plan, timeout=remaining)
+            reply = client.query(
+                text, plan=plan, timeout=remaining, format="table"
+            )
+            rows = ResultTable.from_wire(reply.get("table")).to_collection().roots()
         except Exception:
             self.counters.add("shard_call_failures")
             pool.discard(client)
             raise
         pool.release(client)
-        return reply
+        return rows
 
     # ------------------------------------------------------------------
     # Quarantine bookkeeping
@@ -857,17 +857,3 @@ def _split(root: XMLNode, count: int) -> list[XMLNode]:
         cursor += take
         pieces.append(piece)
     return pieces
-
-
-def _rows_from(reply: dict) -> list[XMLNode]:
-    """A QUERY reply's ``xml`` payload re-parsed into result rows."""
-    payload = reply.get("xml", "")
-    if not payload.strip():
-        return []
-    wrapper = parse_document(
-        f"<{_ROWS_WRAPPER}>" + payload + f"</{_ROWS_WRAPPER}>"
-    )
-    rows = list(wrapper.children)
-    for row in rows:
-        row.parent = None
-    return rows

@@ -174,11 +174,9 @@ class QueryResult:
     def to_xml(self, indent: str | None = "  ") -> str:
         """The result collection rendered as XML text, one document
         fragment per tree."""
-        from ..xmlmodel.serialize import serialize
+        from ..xmlmodel.serialize import serialize_collection
 
-        parts = [serialize(tree.root, indent=indent) for tree in self.collection]
-        joiner = "" if indent else "\n"
-        return joiner.join(parts)
+        return serialize_collection(self.collection, indent)
 
 
 @dataclass(frozen=True)

@@ -332,12 +332,18 @@ class ServiceClient:
         *,
         plan: str | None = None,
         timeout: float | None = None,
+        format: str | None = None,
     ) -> dict:
+        """``format="table"`` asks for the result as a
+        :class:`~repro.xmlmodel.table.ResultTable` wire frame (reply key
+        ``table``) instead of XML text (reply key ``xml``)."""
         spec: dict[str, object] = {"q": text}
         if plan is not None:
             spec["plan"] = plan
         if timeout is not None:
             spec["timeout"] = timeout
+        if format is not None:
+            spec["format"] = format
         return self.call("QUERY", spec)
 
     def explain(self, text: str, *, verbose: bool = False) -> dict:

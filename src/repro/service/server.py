@@ -9,7 +9,7 @@ Requests (UTF-8, newline-terminated)::
 
     PING
     HEALTH
-    QUERY {"q": "FOR $b IN ...", "plan": "groupby", "timeout": 2.5}
+    QUERY {"q": "FOR $b IN ...", "plan": "groupby", "timeout": 2.5, "format": "xml"}
     EXPLAIN {"q": "...", "verbose": true}
     LOAD {"name": "bib.xml", "chunk": "<bib>...", "final": true}
     STATS
@@ -157,19 +157,37 @@ class DrainReport:
         )
 
 
-def encode_result(outcome: ServiceResult) -> dict:
-    """The JSON payload for a completed query."""
-    return {
-        "rows": len(outcome),
-        "xml": outcome.result.to_xml(indent=None),
-        "plan_mode": outcome.plan_mode,
-        "cached": outcome.cached,
-        "plan_cached": outcome.plan_cached,
-        "fingerprint": outcome.fingerprint,
-        "generation": outcome.generation,
-        "queue_wait_seconds": outcome.queue_wait_seconds,
-        "elapsed_seconds": outcome.result.elapsed_seconds,
-    }
+#: What a ``QUERY`` reply may carry the result as (the ``format`` key).
+RESULT_FORMATS = ("xml", "table")
+
+
+def encode_result(outcome: ServiceResult, format: str = "xml") -> str:
+    """The JSON payload, as text, for a completed query.
+
+    The result is spliced in from the result table beside the
+    per-request fields: ``xml`` is the table's memoized, already
+    JSON-escaped serialization, so a cache hit is answered without
+    building, copying or walking a tree; ``format="table"`` ships the
+    table's wire frame under ``table`` instead (the coordinator's
+    choice — it wants rows, not markup).
+    """
+    table = outcome.result_table()
+    if format == "table":
+        body = '"table": ' + json.dumps(table.to_wire(), separators=(",", ":"))
+    else:
+        body = '"xml": ' + table.to_xml_json()
+    trip = json.dumps(
+        {
+            "plan_mode": outcome.plan_mode,
+            "cached": outcome.cached,
+            "plan_cached": outcome.plan_cached,
+            "fingerprint": outcome.fingerprint,
+            "generation": outcome.generation,
+            "queue_wait_seconds": outcome.queue_wait_seconds,
+            "elapsed_seconds": outcome.elapsed_seconds,
+        }
+    )
+    return f'{{"rows": {len(table)}, {body}, {trip[1:]}'
 
 
 class _ClientGone(Exception):
@@ -383,6 +401,12 @@ class _Handler(socketserver.BaseRequestHandler):
             return "OK " + json.dumps(session.snapshot())
         if command == "QUERY":
             spec = _spec(argument)
+            format = spec.get("format", "xml")
+            if format not in RESULT_FORMATS:
+                raise ProtocolError(
+                    f"unknown result format {format!r}; "
+                    f"expected one of {list(RESULT_FORMATS)}"
+                )
             ticket = service.submit(
                 _required(spec, "q"),
                 plan=spec.get("plan"),
@@ -396,7 +420,9 @@ class _Handler(socketserver.BaseRequestHandler):
                 outcome = ticket.result()
             finally:
                 self._active_ticket = None
-            return "OK " + json.dumps(encode_result(outcome))
+            if outcome.cached and format == "xml":
+                service.counters.add("cache_serialized_hits")
+            return "OK " + encode_result(outcome, format)
         if command == "EXPLAIN":
             spec = _spec(argument)
             explanation = service.db.explain(

@@ -29,12 +29,13 @@ service-side counters in ``profile.totals``.
 
 from __future__ import annotations
 
-import copy
 import queue
 import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Callable, NamedTuple
 
 from ..cancellation import Deadline, deadline_scope
 from ..errors import (
@@ -45,7 +46,9 @@ from ..errors import (
 )
 from ..observability import CounterSnapshot
 from ..query.database import Database, PlanMode, PreparedQuery, QueryResult
+from ..query.plan import PlanNode
 from ..xmlmodel.node import XMLNode
+from ..xmlmodel.table import ResultTable
 from .cache import LRUCache
 from .fingerprint import fingerprint_expr
 from .rwlock import ReadWriteLock
@@ -66,9 +69,6 @@ class ServiceConfig:
     default_timeout: float | None = None
     plan_cache_entries: int = 128
     result_cache_entries: int = 256
-    #: Hand out deep copies of cached result collections, so one
-    #: client mutating its trees cannot poison the cache for others.
-    copy_cached_results: bool = True
     #: Streaming-ingest duty-cycle throttle.  When readers are
     #: contending for the gate, the ingest idles before each batch
     #: commit for ``pacing`` x the time it spent working since its
@@ -103,6 +103,8 @@ class ServiceStatistics:
         "queue_waits",
         "queue_wait_us_total",
         "peak_queue_depth",
+        "cache_nodes_built",
+        "cache_serialized_hits",
         "_lock",
     )
 
@@ -132,20 +134,49 @@ class ServiceStatistics:
                 "queue_waits": self.queue_waits,
                 "queue_wait_us_total": self.queue_wait_us_total,
                 "peak_queue_depth": self.peak_queue_depth,
+                "result_cache_nodes_built": self.cache_nodes_built,
+                "result_cache_serialized_hits": self.cache_serialized_hits,
             }
+
+
+class _CachedResult(NamedTuple):
+    """What the result cache holds: rows and strings, never trees."""
+
+    table: ResultTable
+    plan_mode: str
+    plan: PlanNode | None
 
 
 @dataclass
 class ServiceResult:
-    """A query outcome plus its trip through the service."""
+    """A query outcome plus its trip through the service.
 
-    result: QueryResult
+    ``table`` is the result's flat encoding — what the result cache
+    stores and the wire ships.  A cache hit carries *only* the table:
+    ``result`` (and so ``collection``) builds trees from it the first
+    time somebody asks, for that caller alone, so no caller can reach
+    the cache through a tree; ``len()``, ``plan_mode`` and the wire
+    encodings never build one.  ``table`` is ``None`` when the cache
+    was bypassed, until :meth:`result_table` cuts it.
+    """
+
     fingerprint: str
     generation: int
+    plan_mode: str
+    table: ResultTable | None = None
     cached: bool = False  # served from the result cache
     plan_cached: bool = False  # plan came from the plan cache
     queue_wait_seconds: float = 0.0
     session_id: int | None = None
+    _result: QueryResult | None = None
+    _build: Callable[[], QueryResult] | None = None  # hits: table -> trees
+
+    @property
+    def result(self) -> QueryResult:
+        if self._result is None:
+            assert self._build is not None
+            self._result = self._build()
+        return self._result
 
     @property
     def collection(self):
@@ -153,13 +184,21 @@ class ServiceResult:
 
     @property
     def profile(self):
-        return self.result.profile
+        return None if self._result is None else self._result.profile
 
     @property
-    def plan_mode(self) -> str:
-        return self.result.plan_mode
+    def elapsed_seconds(self) -> float:
+        """Engine time; a cache hit did no engine work."""
+        return 0.0 if self._result is None else self._result.elapsed_seconds
+
+    def result_table(self) -> ResultTable:
+        if self.table is None:
+            self.table = ResultTable.from_collection(self.result.collection)
+        return self.table
 
     def __len__(self) -> int:
+        if self.table is not None:
+            return len(self.table)
         return len(self.result.collection)
 
 
@@ -527,18 +566,23 @@ class QueryService:
             generation,
             prepared.stats_version,
         )
+        trip = dict(
+            fingerprint=fingerprint,
+            generation=generation,
+            plan_cached=plan_hit,
+            queue_wait_seconds=waited,
+            session_id=_session_id(request.ticket.session),
+        )
         cacheable = not request.analyze and self.result_cache.enabled
         if cacheable:
             hit = self.result_cache.get(result_key)
             if hit is not None:
                 return ServiceResult(
-                    result=self._from_cache(hit),
-                    fingerprint=result_key[0],
-                    generation=generation,
+                    plan_mode=hit.plan_mode,
+                    table=hit.table,
                     cached=True,
-                    plan_cached=plan_hit,
-                    queue_wait_seconds=waited,
-                    session_id=_session_id(request.ticket.session),
+                    _build=partial(self._from_cache, hit),
+                    **trip,
                 )
         # Shared counters must not be reset by concurrent queries —
         # deltas come from snapshots, never from zeroing.
@@ -554,8 +598,14 @@ class QueryService:
             self.plan_cache.invalidate(
                 lambda key, fp=fingerprint: key[0] == fp
             )
+        table = None
         if cacheable:
-            self.result_cache.put(result_key, result)
+            # The cache keeps the table; the trees stay with the caller
+            # that paid for them, who may do to them what it likes.
+            table = ResultTable.from_collection(result.collection)
+            self.result_cache.put(
+                result_key, _CachedResult(table, result.plan_mode, result.plan)
+            )
         if result.profile is not None:
             delta = self.stats() - service_before
             delta = delta + CounterSnapshot(queue_wait_us=int(waited * 1_000_000))
@@ -563,13 +613,7 @@ class QueryService:
                 result.profile, totals=result.profile.totals + delta
             )
         return ServiceResult(
-            result=result,
-            fingerprint=result_key[0],
-            generation=generation,
-            cached=False,
-            plan_cached=plan_hit,
-            queue_wait_seconds=waited,
-            session_id=_session_id(request.ticket.session),
+            plan_mode=result.plan_mode, table=table, _result=result, **trip
         )
 
     def _prepared(self, text: str, plan: str | None) -> tuple[PreparedQuery, str, bool]:
@@ -595,20 +639,16 @@ class QueryService:
         self.plan_cache.put(key, prepared)
         return prepared, fingerprint, False
 
-    def _from_cache(self, result: QueryResult) -> QueryResult:
-        """A cache hit: a fresh :class:`QueryResult` whose statistics
-        honestly say "no store work was done"."""
-        collection = result.collection
-        if self.config.copy_cached_results:
-            collection = copy.deepcopy(collection)
+    def _from_cache(self, hit: _CachedResult) -> QueryResult:
+        """Trees for one caller of a cache hit: a fresh
+        :class:`QueryResult` whose statistics honestly say "no store
+        work was done"."""
+        self.counters.add("cache_nodes_built", len(hit.table.rows))
         return QueryResult(
-            collection=collection,
-            plan_mode=result.plan_mode,
+            collection=hit.table.to_collection(),
+            plan_mode=hit.plan_mode,
             elapsed_seconds=0.0,
-            statistics={},
-            plan=result.plan,
-            profile=None,
-            io_stats={},
+            plan=hit.plan,
         )
 
 

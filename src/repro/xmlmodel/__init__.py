@@ -7,7 +7,8 @@ reproduction stands on.
 from .diff import Difference, assert_collections_equal, diff_collections, first_difference
 from .node import XMLNode, element
 from .parse import parse_document, parse_file
-from .serialize import serialize, write_file
+from .serialize import serialize, serialize_collection, write_file
+from .table import ResultTable
 from .tree import Collection, DataTree
 
 __all__ = [
@@ -20,7 +21,9 @@ __all__ = [
     "parse_document",
     "parse_file",
     "serialize",
+    "serialize_collection",
     "write_file",
     "Collection",
     "DataTree",
+    "ResultTable",
 ]

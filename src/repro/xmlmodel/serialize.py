@@ -30,11 +30,11 @@ def escape_attribute(value: str) -> str:
     return out
 
 
-def _open_tag(node: XMLNode) -> str:
-    parts = [node.tag]
-    parts.extend(
-        f'{name}="{escape_attribute(value)}"' for name, value in node.attributes.items()
-    )
+def open_tag(tag: str, attributes) -> str:
+    """``tag name="value" ...`` for ``(name, value)`` pairs — what goes
+    between ``<`` and ``>`` (or ``/>``)."""
+    parts = [tag]
+    parts.extend(f'{name}="{escape_attribute(value)}"' for name, value in attributes)
     return " ".join(parts)
 
 
@@ -54,24 +54,32 @@ def serialize(node: XMLNode, indent: str | None = "  ") -> str:
 def _serialize_into(node: XMLNode, out: list[str], level: int, indent: str | None) -> None:
     pad = indent * level if indent else ""
     newline = "\n" if indent else ""
-    open_tag = _open_tag(node)
+    head = open_tag(node.tag, node.attributes.items())
 
     if not node.children and node.content is None:
-        out.append(f"{pad}<{open_tag}/>{newline}")
+        out.append(f"{pad}<{head}/>{newline}")
         return
 
     if not node.children:
         text = escape_text(node.content or "")
-        out.append(f"{pad}<{open_tag}>{text}</{node.tag}>{newline}")
+        out.append(f"{pad}<{head}>{text}</{node.tag}>{newline}")
         return
 
-    out.append(f"{pad}<{open_tag}>{newline}")
+    out.append(f"{pad}<{head}>{newline}")
     if node.content is not None:
         inner_pad = indent * (level + 1) if indent else ""
         out.append(f"{inner_pad}{escape_text(node.content)}{newline}")
     for child in node.children:
         _serialize_into(child, out, level + 1, indent)
     out.append(f"{pad}</{node.tag}>{newline}")
+
+
+def serialize_collection(collection, indent: str | None = "  ") -> str:
+    """Render every tree of a collection in order, one document fragment
+    per tree.  Compact fragments are separated by a newline; indented
+    ones already end with one."""
+    joiner = "" if indent else "\n"
+    return joiner.join(serialize(tree.root, indent=indent) for tree in collection)
 
 
 def write_file(node: XMLNode, path: str, indent: str | None = "  ") -> None:

@@ -9,8 +9,15 @@ import pytest
 from repro.cluster import LocalCluster, LocalClusterConfig
 from repro.datagen.dblp import DBLPConfig, generate_dblp
 from repro.datagen.sample import QUERY_1, QUERY_2, QUERY_COUNT
-from repro.errors import ClusterError, ClusterMergeError, RemoteError, TranslationError
+from repro.errors import (
+    ClusterError,
+    ClusterMergeError,
+    RemoteError,
+    ShardUnavailableError,
+    TranslationError,
+)
 from repro.query.database import PLAN_MODES, Database
+from repro.xmlmodel import ResultTable, XMLNode
 from repro.xmlmodel.diff import assert_collections_equal
 
 CORPUS_CONFIG = DBLPConfig(n_articles=48, n_authors=16, seed=5)
@@ -36,13 +43,29 @@ def topology(request, corpus):
         yield request.param, cluster
 
 
-@pytest.mark.parametrize("query", [QUERY_1, QUERY_2, QUERY_COUNT])
+QUERY_AVG = """
+FOR $a IN distinct-values(document("bib.xml")//author)
+LET $y := document("bib.xml")//article[author = $a]/year
+RETURN <r kind="x">{$a} {count($y)} {avg($y)} {max($y)}</r>
+"""
+QUERY_CONCAT = 'FOR $b IN document("bib.xml")//article RETURN $b/title'
+QUERY_SCALAR_COUNT = 'count(document("bib.xml")//author)'
+
+
+@pytest.mark.parametrize(
+    "query",
+    [QUERY_1, QUERY_2, QUERY_COUNT, QUERY_AVG, QUERY_CONCAT, QUERY_SCALAR_COUNT],
+)
 def test_identity_across_topologies(topology, single_node, query):
+    # Twice: the shards answer the first from their engines and the
+    # second from their result caches — the same table frame either way.
     shards, cluster = topology
-    want = single_node.query(query).collection
-    got = cluster.query(query)
-    assert not got.partial
-    assert_collections_equal(want, got.collection)
+    want = single_node.query(query)
+    for _ in range(2):
+        got = cluster.query(query)
+        assert not got.partial
+        assert_collections_equal(want.collection, got.collection)
+        assert got.to_xml(indent=None) == want.to_xml(indent=None)
 
 
 @pytest.mark.parametrize("mode", PLAN_MODES)
@@ -87,6 +110,51 @@ def test_concat_scalar_and_sortby_through_coordinator(topology, single_node):
     for query in queries:
         want = single_node.query(query).collection
         assert_collections_equal(want, cluster.query(query).collection)
+
+
+def test_shard_rows_cross_the_wire_verbatim():
+    # Rows travel as a table frame, not as XML text inside JSON, so what
+    # an XML parser would normalize or choke on arrives as it was stored:
+    # markup characters, non-ASCII, attributes, childless empty elements.
+    root = XMLNode("bib")
+    for index, (name, title) in enumerate(
+        [("A & B", 'x < y > "z"'), ("Émile 語", "q"), ("A & B", "tab\there")]
+    ):
+        article = root.add("article", None, id=f'a"{index}', lang="fr&en")
+        article.add("author", name)
+        article.add("title", title, kind="<t>")
+        article.add("note")
+    queries = (
+        QUERY_1,
+        'FOR $b IN document("bib.xml")//article RETURN $b',
+    )
+    single = Database()
+    single.load(tree=root.deep_copy(), name="bib.xml")
+    for slices in (1, 2):
+        with LocalCluster(LocalClusterConfig(shards=2)) as cluster:
+            cluster.load(tree=root.deep_copy(), name="bib.xml", slices=slices)
+            for query in queries:
+                want = single.query(query)
+                got = cluster.query(query)
+                assert_collections_equal(want.collection, got.collection)
+                assert got.to_xml(indent=None) == want.to_xml(indent=None)
+
+
+def test_a_frame_that_does_not_decode_fails_the_shard_call(topology, monkeypatch):
+    # Half a table is a failed call (failover, then a typed error), never
+    # something to merge.
+    shards, cluster = topology
+    before = cluster.coordinator.counter_snapshot()
+    whole = ResultTable.to_wire
+    monkeypatch.setattr(ResultTable, "to_wire", lambda table: whole(table)[:-2])
+    with pytest.raises(ShardUnavailableError):
+        cluster.query(QUERY_CONCAT)
+    monkeypatch.undo()
+    delta = cluster.coordinator.counter_snapshot() - before
+    assert delta["cluster_shard_call_failures"] == shards
+    assert delta["cluster_merges"] == 0
+    cluster.query(QUERY_CONCAT)  # one bad reply benches nobody
+    assert cluster.coordinator.quarantined_shards() == frozenset()
 
 
 def test_load_report_covers_every_slice(topology, corpus):

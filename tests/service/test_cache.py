@@ -12,7 +12,8 @@ import pytest
 from repro.datagen.dblp import DBLPConfig, generate_dblp
 from repro.datagen.sample import QUERY_1, QUERY_2
 from repro.query.database import Database
-from repro.service import LRUCache, QueryService, ServiceConfig
+from repro.service import LRUCache, QueryService, ServiceClient, ServiceConfig
+from repro.service.server import serve
 from repro.xmlmodel.diff import assert_collections_equal
 
 
@@ -108,15 +109,40 @@ def test_load_between_runs_forces_miss():
         assert_collections_equal(second.collection, third.collection)
 
 
+def _vandalize(collection):
+    for tree in collection:
+        tree.root.tag = "vandalized"
+        tree.root.attributes["poisoned"] = "yes"
+        tree.root.children.clear()
+
+
 def test_cached_copies_are_isolated(loaded_db):
-    """A client mutating its result trees must not poison later hits."""
+    """No caller can poison later hits by mutating its result trees —
+    not the caller whose miss filled the cache, not a caller of a hit —
+    whether the next hit is read in-process or over the wire."""
+    expected = loaded_db.query(QUERY_1)
     with QueryService(loaded_db, ServiceConfig(workers=1)) as service:
-        service.query(QUERY_1)
+        filling = service.query(QUERY_1)
+        assert not filling.cached
+        _vandalize(filling.collection)
         warm1 = service.query(QUERY_1)
-        for tree in warm1.collection:
-            tree.root.tag = "vandalized"
+        assert warm1.cached
+        assert_collections_equal(expected.collection, warm1.collection)
+        _vandalize(warm1.collection)
         warm2 = service.query(QUERY_1)
-        assert all(tree.root.tag == "authorpubs" for tree in warm2.collection)
+        assert warm2.cached
+        assert_collections_equal(expected.collection, warm2.collection)
+
+        server = serve(service, port=0)
+        server.serve_background()
+        try:
+            with ServiceClient(*server.endpoint) as client:
+                reply = client.query(QUERY_1)
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert reply["cached"]
+        assert reply["xml"] == expected.to_xml(indent=None)
 
 
 def test_plan_cache_distinguishes_requested_modes(loaded_db):

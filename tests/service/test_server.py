@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import json
 
-from repro.datagen.sample import QUERY_1
+import pytest
+
+from repro.datagen.sample import QUERY_1, QUERY_2, QUERY_COUNT
+from repro.xmlmodel import ResultTable
 
 from .conftest import LineClient
 
@@ -29,6 +32,56 @@ def test_query_round_trip(client):
     warm = client.ok("QUERY " + json.dumps({"q": QUERY_1}))
     assert warm["cached"] is True
     assert warm["fingerprint"] == payload["fingerprint"]
+
+
+@pytest.mark.parametrize("query", [QUERY_1, QUERY_2, QUERY_COUNT], ids=["e1", "e2", "count"])
+def test_wire_xml_of_miss_and_hit_is_the_embedded_xml(running_server, client, query):
+    embedded = running_server.service.db.query(query).to_xml(indent=None)
+    miss = client.ok("QUERY " + json.dumps({"q": query}))
+    hit = client.ok("QUERY " + json.dumps({"q": query}))
+    assert (miss["cached"], hit["cached"]) == (False, True)
+    assert miss["xml"] == hit["xml"] == embedded
+    assert miss["rows"] == hit["rows"] == embedded.count("\n") + 1
+
+
+def test_wire_hits_build_no_nodes(running_server, client):
+    """A hit over the wire is answered from the cached table's memoized
+    serialization; only an in-process caller asking for trees gets
+    nodes built, and only then."""
+    request = "QUERY " + json.dumps({"q": QUERY_1})
+    client.ok(request)  # fills the cache
+    before = client.ok("STATS")
+    for _ in range(5):
+        assert client.ok(request)["cached"] is True
+    after = client.ok("STATS")
+    assert after["result_cache_hits"] - before["result_cache_hits"] == 5
+    assert (
+        after["result_cache_serialized_hits"] - before["result_cache_serialized_hits"]
+        == 5
+    )
+    assert after["result_cache_nodes_built"] == 0
+
+    service = running_server.service
+    hit = service.query(QUERY_1)
+    assert hit.cached and len(hit) > 0 and hit.plan_mode == "groupby"
+    assert service.stats()["result_cache_nodes_built"] == 0
+    nodes = hit.collection.total_nodes()
+    assert hit.collection is hit.collection  # built once per hand-out
+    assert service.stats()["result_cache_nodes_built"] == nodes
+
+
+def test_query_result_formats(client):
+    spec = {"q": QUERY_1}
+    as_xml = client.ok("QUERY " + json.dumps(spec))  # no "format" key: XML
+    assert "xml" in as_xml and "table" not in as_xml
+    assert client.ok("QUERY " + json.dumps({**spec, "format": "xml"}))["xml"] == as_xml["xml"]
+    as_table = client.ok("QUERY " + json.dumps({**spec, "format": "table"}))
+    assert "xml" not in as_table
+    assert as_table["rows"] == as_xml["rows"]
+    assert ResultTable.from_wire(as_table["table"]).to_xml() == as_xml["xml"]
+    error = client.err("QUERY " + json.dumps({**spec, "format": "yaml"}))
+    assert error["kind"] == "ProtocolError" and "yaml" in error["message"]
+    assert client.ok("PING") == {"pong": True}  # the connection survived
 
 
 def test_query_with_plan_and_timeout(client):
@@ -145,12 +198,15 @@ def test_client_vanishing_mid_reply_marks_session_aborted(running_server):
     raw = LineClient(running_server.endpoint)
     assert raw.ok("PING") == {"pong": True}
     session = next(s for s in service.sessions.active() if s.aborted == 0)
-    # Pipeline a burst of UNIQUE (leading whitespace defeats the query
-    # cache) grouping queries without reading a single reply: the
-    # server is necessarily mid-burst when the reset lands, so the
-    # race needs no retry loop.
+    # Pipeline a burst of UNIQUE grouping queries (a different result
+    # tag each: a different fingerprint, so every one executes — cache
+    # hits would be over before the reset) without reading a single
+    # reply: the server is necessarily mid-burst when the reset lands,
+    # so the race needs no retry loop.
     burst = "".join(
-        "QUERY " + json.dumps({"q": " " * i + QUERY_1}) + "\n"
+        "QUERY "
+        + json.dumps({"q": QUERY_1.replace("authorpubs", f"authorpubs{i}")})
+        + "\n"
         for i in range(300)
     )
     raw.file.write(burst)
