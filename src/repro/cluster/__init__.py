@@ -23,7 +23,7 @@ from .coordinator import (
     SliceLoad,
 )
 from .launcher import LocalCluster, LocalClusterConfig, ShardStack
-from .merge import MergePlan, compile_merge, merge_rows, rename_document
+from .merge import MergePlan, compile_merge, merge_rows
 from .shardmap import (
     DocumentPlacement,
     ShardMap,
@@ -50,7 +50,6 @@ __all__ = [
     "SlicePlacement",
     "compile_merge",
     "merge_rows",
-    "rename_document",
     "replica_alias",
     "stable_hash",
 ]

@@ -61,7 +61,7 @@ from ..errors import (
     RemoteError,
     ShardUnavailableError,
 )
-from ..query.ast import render
+from ..query.ast import documents, render, rename_documents
 from ..query.database import Explanation
 from ..query.parser import parse_query
 from ..service.client import (
@@ -76,14 +76,7 @@ from ..xmlmodel.serialize import serialize, serialize_collection
 from ..xmlmodel.table import ResultTable
 from ..xmlmodel.tree import Collection, DataTree
 from .client import ShardClient
-from .merge import (
-    MergePlan,
-    apply_sortby,
-    compile_merge,
-    document_names,
-    merge_rows,
-    rename_document,
-)
+from .merge import MergePlan, apply_sortby, compile_merge, merge_rows
 from .shardmap import DocumentPlacement, ShardMap, SlicePlacement, replica_alias
 
 #: Server-side ``ERR`` kinds a *different* holder might still serve
@@ -405,7 +398,7 @@ class ClusterCoordinator:
         self.counters.add("fanouts")
         if not placement.partitioned:
             rows, missing = self._run_single(
-                placement, text, plan, deadline, allow_partial
+                placement, expr, text, plan, deadline, allow_partial
             )
             kind = "single"
             sortby = ()
@@ -429,7 +422,7 @@ class ClusterCoordinator:
         )
 
     def _placement_for(self, expr) -> DocumentPlacement:
-        names = document_names(expr)
+        names = documents(expr)
         if len(names) != 1:
             raise ClusterError(
                 "cluster queries must target exactly one document "
@@ -438,13 +431,12 @@ class ClusterCoordinator:
         return self.shard_map.placement(names.pop())
 
     def _run_single(
-        self, placement, text, plan, deadline, allow_partial
+        self, placement, expr, text, plan, deadline, allow_partial
     ) -> tuple[list[XMLNode], set[int]]:
         slot = placement.slices[0]
-        aliased = rename_document(
-            text, {placement.name: replica_alias(placement.name, slot.index)}
+        rows = self._call_slice(
+            slot, text, _replica_text(expr, placement.name, slot), plan, deadline
         )
-        rows = self._call_slice(slot, text, aliased, plan, deadline)
         if rows is None:
             if allow_partial:
                 self.counters.add("partial_results")
@@ -463,15 +455,12 @@ class ClusterCoordinator:
         fatal: list[Exception] = []
         threads = []
         for slot in placement.slices:
-            aliased = rename_document(
-                merge_plan.shard_query,
-                {placement.name: replica_alias(placement.name, slot.index)},
-            )
+            replica_text = _replica_text(merge_plan.shard_expr, placement.name, slot)
 
-            def run(slot=slot, aliased=aliased):
+            def run(slot=slot, replica_text=replica_text):
                 try:
                     slice_rows[slot.index] = self._call_slice(
-                        slot, merge_plan.shard_query, aliased, plan, deadline
+                        slot, merge_plan.shard_query, replica_text, plan, deadline
                     )
                 except Exception as error:  # noqa: BLE001 - re-raised below
                     fatal.append(error)
@@ -514,18 +503,16 @@ class ClusterCoordinator:
         self,
         slot: SlicePlacement,
         primary_text: str,
-        replica_text: str,
+        replica_text,
         plan: str | None,
         deadline: float,
     ) -> list[XMLNode] | None:
         """The fan-out unit: try the slice's holders until one answers
         or the deadline passes.  Returns the slice's result rows, or
         ``None`` when the slice could not be served (the caller decides
-        whether that is fatal)."""
-        candidates = [
-            (shard, primary_text if shard == slot.primary else replica_text)
-            for shard in self._candidate_order(slot)
-        ]
+        whether that is fatal).  ``replica_text()`` renders the query
+        against a replica's alias; it runs only if a replica is called."""
+        candidates = self._candidate_order(slot)
         if not candidates:
             return None
         results: queue.Queue = queue.Queue()
@@ -550,7 +537,8 @@ class ClusterCoordinator:
 
         def launch(hedged: bool) -> None:
             nonlocal in_flight, launched
-            shard, text = candidates[launched]
+            shard = candidates[launched]
+            text = primary_text if shard == slot.primary else replica_text()
             launched += 1
             in_flight += 1
             if hedged:
@@ -696,11 +684,10 @@ class ClusterCoordinator:
         placement = self._placement_for(expr)
         if placement.partitioned:
             merge_plan = compile_merge(expr)
-            shard_text = merge_plan.shard_query
+            shard_expr, shard_text = merge_plan.shard_expr, merge_plan.shard_query
             merge_line = merge_plan.describe()
         else:
-            merge_plan = None
-            shard_text = text
+            shard_expr, shard_text = expr, text
             merge_line = "single shard: no merge required"
         lines = [f"document {placement.name!r}: {len(placement.slices)} slice(s)"]
         for slot in placement.slices:
@@ -712,7 +699,7 @@ class ClusterCoordinator:
                 f"  slice {slot.index}: shard {slot.primary}{note}{extra}"
             )
         lines.append(f"merge: {merge_line}")
-        local = self._explain_local(placement, shard_text, verbose)
+        local = self._explain_local(placement, shard_expr, shard_text, verbose)
         # Roll the shard's cost-model statistics version up into the
         # cluster section, so a cross-shard plan is traceable to the
         # statistics it was costed against.
@@ -739,20 +726,14 @@ class ClusterCoordinator:
         }
         return local.with_section("cluster plan", "\n".join(lines), **payload)
 
-    def _explain_local(self, placement, shard_text, verbose) -> Explanation:
+    def _explain_local(self, placement, shard_expr, shard_text, verbose) -> Explanation:
         """A representative shard's explanation of the query the shards
         would actually run."""
         last_error: Exception | None = None
         for slot in placement.slices:
+            replica_text = _replica_text(shard_expr, placement.name, slot)
             for shard in self._candidate_order(slot):
-                text = (
-                    shard_text
-                    if shard == slot.primary
-                    else rename_document(
-                        shard_text,
-                        {placement.name: replica_alias(placement.name, slot.index)},
-                    )
-                )
+                text = shard_text if shard == slot.primary else replica_text()
                 try:
                     reply = self._clients[shard].call(
                         "EXPLAIN", {"q": text, "verbose": verbose}
@@ -838,6 +819,13 @@ class ClusterCoordinator:
 # ----------------------------------------------------------------------
 # Helpers
 # ----------------------------------------------------------------------
+def _replica_text(expr, document: str, slot: SlicePlacement):
+    """A callable rendering ``expr`` against ``slot``'s replica alias of
+    ``document`` — how a hedged or failover call targets a replica."""
+    mapping = {document: replica_alias(document, slot.index)}
+    return lambda: render(rename_documents(expr, mapping))
+
+
 def _split(root: XMLNode, count: int) -> list[XMLNode]:
     """Contiguous slices of the root's children, each under a copy of
     the root element (slice order == document order)."""

@@ -2,26 +2,31 @@
 
 The TAX GROUPBY is *identifier-only*: a shard can group its slice and
 report, per group, the grouping basis plus partial aggregates — it
-never needs the other slices to do so.  :func:`compile_merge` inspects
-a query AST and decides how slice results combine:
+never needs the other slices to do so.  Merging is then the same
+grouping applied again to coarser input: the query's own RETURN
+constructor, as an :class:`~repro.query.template.OutputTemplate`,
+refilled over the shard rows.  :func:`compile_merge` decides how slice
+results combine:
 
 * ``group`` — the paper's shape (``FOR $g IN distinct-values(...)``
-  over one document, LET bindings, a constructor RETURN).  Each shard
-  runs a rewritten query whose RETURN wraps every constructor item in
-  a tagged wrapper inside one ``<zrow>`` per group, always including a
-  hidden ``<zk>`` carrying the group key (an item that is exactly the
-  group variable is rebuilt from ``<zk>``, not shipped twice).  The
-  shard query is itself in the grouping family — its constructor is an
-  output template over the same join-plan pattern — so every shard
-  answers it with the GROUPBY plan.  The coordinator unions
-  groups by atomized key in *slice-major* order — slices are
-  contiguous spans of the document, so slice-major first-appearance
-  order **is** global document order of first occurrences — and merges
-  each wrapper by its operator: ``key`` (take the earliest slice's
-  representative, which is the global first occurrence), ``list``
-  (concatenate slice-major, restoring document order), ``count``/
-  ``sum`` (add), ``min``/``max`` (combine), ``avg`` (shipped as
-  sum+count, divided once at the coordinator — the only way partial
+  over one document, LET bindings, a constructor RETURN).  The
+  constructor becomes a template whose leaves are its embedded
+  expressions; literal text, attributes and wrapper elements at any
+  depth are template structure.  Each shard runs a rewritten query
+  whose RETURN is one ``<zrow>`` per group: a hidden ``<zk>`` carrying
+  the group key and one tagged wrapper per leaf (``{$g}`` itself reads
+  ``<zk>``, so it is not shipped twice).  The shard query is itself in
+  the grouping family, so every shard answers it with the GROUPBY plan.
+  The coordinator unions groups by atomized key in *slice-major* order
+  — slices are contiguous spans of the document, so slice-major
+  first-appearance order **is** global document order of first
+  occurrences — and fills the template once per group through
+  :func:`~repro.query.template.fill_template`.  Each leaf's kind is its
+  merge operator: ``key`` (the earliest slice's payload, which is the
+  global first occurrence), ``members`` (concatenate slice-major,
+  restoring document order, then re-apply the list's own SORTBY),
+  ``count``/``sum`` (add), ``min``/``max`` (combine), ``avg`` (shipped
+  as sum+count, divided once at the coordinator — the only way partial
   averages merge exactly).
 * ``concat`` — no ``distinct-values`` anywhere and iteration is the
   only thing touching the document: shard rows simply concatenate in
@@ -35,31 +40,34 @@ one to the merged rows, a member list's own to its concatenated list —
 a stable sort over the slice-major concatenation is the single-node
 order.
 
-Anything else — cross-slice dedup inside an item, a LET the WHERE
-filters on (HAVING-style), document-spanning joins per row — raises
-:class:`~repro.errors.ClusterMergeError`; the coordinator surfaces it
-typed instead of merging wrong answers.
+Anything else raises :class:`~repro.errors.ClusterMergeError`, typed
+instead of merging wrong answers: ``distinct-values`` inside an item
+(cross-slice dedup, which is also what refuses the 3-level nested
+form), a LET the WHERE filters on (HAVING-shaped), a document read not
+anchored to the group key (its matches need not share the key's
+slice), a SORTBY over atomic values (strings join into one text and
+cannot be re-sorted), document-spanning joins per row.
 
-Reconstruction mirrors :meth:`Interpreter._construct` exactly: string
-values accumulate into the row's ``content`` joined by single spaces,
-node values append as children, and aggregate formatting is
-int-if-whole else ``repr(float)`` — so a merged row is byte-identical
-to the single-node row (asserted by ``xmlmodel.diff`` in the identity
-tests).
+Filling mirrors :meth:`Interpreter._construct` exactly — string values
+join into an element's content with single spaces, node values append
+as children, aggregates print int-if-whole else ``repr(float)`` — so a
+merged row is byte-identical to the single-node row (asserted by
+``xmlmodel.diff`` in the identity tests).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, field
 
+from ..core.aggregation import render_number
 from ..errors import ClusterMergeError
 from ..query.ast import (
     AggregateCall,
     Comparison,
     CountCall,
     DistinctValues,
-    DocumentCall,
     ElementConstructor,
     EmbeddedExpr,
     Expr,
@@ -69,101 +77,61 @@ from ..query.ast import (
     PathExpr,
     SortKey,
     StepPredicate,
-    TextItem,
     VarRef,
+    documents,
     render,
+    walk,
+)
+from ..query.template import (
+    Ordering,
+    OutputTemplate,
+    TemplateLeaf,
+    aggregate_text,
+    fill_template,
 )
 from ..xmlmodel.node import XMLNode
 
-#: Wrapper tags inside a shard row: the hidden group key, per-item
-#: wrappers, and the sum/count pair an avg ships as.
+#: Wrapper tags inside a shard row: the row itself and the hidden group
+#: key.  A leaf's own wrappers are ``z<i>`` (``zs<i>``/``zn<i>`` for the
+#: sum and count an avg ships as), ``i`` its position among the leaves.
 ROW_TAG = "zrow"
 KEY_TAG = "zk"
 
-
-def _item_tag(index: int) -> str:
-    return f"z{index}"
-
-
-def _avg_tags(index: int) -> tuple[str, str]:
-    return f"zs{index}", f"zn{index}"
-
-
-# ----------------------------------------------------------------------
-# AST inspection helpers
-# ----------------------------------------------------------------------
-def _children(node: object):
-    if not hasattr(node, "__dataclass_fields__"):
-        return
-    for name in node.__dataclass_fields__:  # type: ignore[union-attr]
-        value = getattr(node, name)
-        if isinstance(value, tuple):
-            for item in value:
-                if hasattr(item, "__dataclass_fields__"):
-                    yield item
-        elif hasattr(value, "__dataclass_fields__"):
-            yield value
-
-
-def _walk(node: object):
-    yield node
-    for child in _children(node):
-        yield from _walk(child)
-
-
-def _contains(node: object, kinds: tuple[type, ...]) -> bool:
-    return any(isinstance(n, kinds) for n in _walk(node))
-
-
-def document_names(expr: Expr) -> set[str]:
-    return {n.name for n in _walk(expr) if isinstance(n, DocumentCall)}
-
-
-def free_vars(node: object, bound: frozenset = frozenset()) -> set[str]:
-    """Variables referenced by ``node`` that it does not itself bind."""
-    if isinstance(node, VarRef):
-        return set() if node.name in bound else {node.name}
-    if isinstance(node, FLWR):
-        names: set[str] = set()
-        inner = set(bound)
-        for clause in node.clauses:
-            names |= free_vars(clause.source, frozenset(inner))
-            inner.add(clause.var)
-        if node.where is not None:
-            names |= free_vars(node.where, frozenset(inner))
-        names |= free_vars(node.ret, frozenset(inner))
-        return names
-    names = set()
-    for child in _children(node):
-        names |= free_vars(child, bound)
-    return names
+#: Each leaf kind's merge operator, for the cluster EXPLAIN.
+_OPERATORS = {
+    "key": "earliest slice",
+    "members": "slice-major concat",
+    "count": "add",
+    "sum": "add",
+    "min": "min",
+    "max": "max",
+    "avg": "sum/count",
+}
 
 
 # ----------------------------------------------------------------------
 # The merge plan
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class ItemPlan:
-    """How one constructor item merges across slices."""
-
-    # static-text | static-elem | group | key | list | count | sum | min | max | avg
-    kind: str
-    index: int
-    source: object  # the original AST item
-    sortby: tuple[SortKey, ...] = ()  # a list item's own SORTBY, re-applied here
-
-
-@dataclass(frozen=True)
 class MergePlan:
-    """Everything the coordinator needs to scatter and gather."""
+    """Everything the coordinator needs to scatter and gather.
+
+    For ``group`` plans ``template`` is the query's RETURN constructor
+    with each leaf's ``path`` naming the shard-row wrappers it reads;
+    ``built`` names the member-list wrappers that hold constructed
+    (rather than stored) nodes, which a SORTBY atomizes whole.
+    """
 
     kind: str  # group | concat | scalar-count
     document: str
-    shard_query: str  # rewritten query the shards run (SORTBY stripped)
-    sortby: tuple[SortKey, ...]
-    row_tag: str | None = None
-    row_attributes: tuple[tuple[str, str], ...] = ()
-    items: tuple[ItemPlan, ...] = ()
+    shard_expr: Expr  # the query the shards run (SORTBY stripped)
+    sortby: Ordering = ()  # the outer SORTBY, re-applied to the merged rows
+    template: OutputTemplate | None = None
+    built: frozenset[str] = frozenset()
+    shard_query: str = field(init=False)  # ``shard_expr`` as shipped text
+
+    def __post_init__(self):
+        object.__setattr__(self, "shard_query", render(self.shard_expr))
 
     def describe(self) -> str:
         """The merge operators, for the cluster EXPLAIN."""
@@ -172,25 +140,15 @@ class MergePlan:
         elif self.kind == "scalar-count":
             text = "scalar: sum of per-shard counts"
         else:
-            ops = [f"{KEY_TAG}=group-key union (slice-major)"]
-            for item in self.items:
-                if item.kind in ("static-text", "static-elem"):
-                    continue
-                if item.kind == "avg":
-                    zs, zn = _avg_tags(item.index)
-                    ops.append(f"{zs}/{zn}=avg (sum+count)")
-                elif item.kind == "list":
-                    ops.append(
-                        f"{_item_tag(item.index)}=concat"
-                        + (" + SORTBY" if item.sortby else "")
-                    )
-                elif item.kind == "group":
-                    ops.append(f"item {item.index}=rebuilt from {KEY_TAG}")
-                elif item.kind == "key":
-                    ops.append(f"{_item_tag(item.index)}=first-slice representative")
-                else:
-                    ops.append(f"{_item_tag(item.index)}={item.kind}")
-            text = "group: " + ", ".join(ops)
+            ops = ", ".join(
+                f"{'/'.join(leaf.path)}={_OPERATORS[leaf.kind]}"
+                + (" + SORTBY" if leaf.ordering else "")
+                for leaf in dict.fromkeys(self.template.leaves())
+            )
+            text = (
+                f"group: {KEY_TAG} union (slice-major) into "
+                f"{self.template.render()}; {ops}"
+            )
         if self.sortby:
             text += "; SORTBY re-applied after merge"
         return text
@@ -205,7 +163,7 @@ def compile_merge(expr: Expr) -> MergePlan:
     Raises :class:`~repro.errors.ClusterMergeError` for shapes with no
     sound merge operator.
     """
-    names = document_names(expr)
+    names = documents(expr)
     if len(names) != 1:
         raise ClusterMergeError(
             f"cluster queries must target exactly one document (found {sorted(names)})"
@@ -213,148 +171,146 @@ def compile_merge(expr: Expr) -> MergePlan:
     document = names.pop()
 
     if isinstance(expr, CountCall):
-        if _contains(expr.argument, (DistinctValues,)):
+        if _dedups(expr.argument):
             raise ClusterMergeError(
                 "count over distinct-values needs cross-slice dedup"
             )
-        return MergePlan(
-            kind="scalar-count",
-            document=document,
-            shard_query=render(expr),
-            sortby=(),
-        )
+        return MergePlan("scalar-count", document, expr)
 
-    if isinstance(expr, PathExpr) and not _contains(expr, (DistinctValues,)):
-        return MergePlan(
-            kind="concat", document=document, shard_query=render(expr), sortby=()
-        )
+    if isinstance(expr, PathExpr) and not _dedups(expr):
+        return MergePlan("concat", document, expr)
 
     if not isinstance(expr, FLWR):
         raise ClusterMergeError(
             f"no merge operator for top-level {type(expr).__name__}"
         )
 
-    if _is_group_shape(expr):
+    if (
+        expr.clauses
+        and isinstance(expr.clauses[0], ForClause)
+        and isinstance(expr.clauses[0].source, DistinctValues)
+    ):
         return _compile_group(expr, document)
     return _compile_concat(expr, document)
 
 
-def _is_group_shape(expr: FLWR) -> bool:
-    return (
-        bool(expr.clauses)
-        and isinstance(expr.clauses[0], ForClause)
-        and isinstance(expr.clauses[0].source, DistinctValues)
-    )
+def _dedups(node: object) -> bool:
+    """True when ``node`` calls ``distinct-values``: a dedup no slice
+    can do alone."""
+    return any(isinstance(inner, DistinctValues) for inner in walk(node))
+
+
+def _ordering(sortby: tuple[SortKey, ...]) -> Ordering:
+    return tuple((key.path, key.direction) for key in sortby)
 
 
 def _compile_group(expr: FLWR, document: str) -> MergePlan:
-    first = expr.clauses[0]
-    assert isinstance(first, ForClause)
-    group_var = first.var
-    if not _contains(first.source, (DocumentCall,)):
+    group_var = expr.clauses[0].var
+    if not documents(expr.clauses[0].source):
         raise ClusterMergeError(
             "the grouping distinct-values must range over the document"
         )
-    for clause in expr.clauses[1:]:
+    lets = expr.clauses[1:]
+    for clause in lets:
         if not isinstance(clause, LetClause):
             raise ClusterMergeError(
                 "group merge supports one FOR over distinct-values plus LETs"
             )
-        if _contains(clause.source, (DistinctValues,)):
+        if _dedups(clause.source):
             raise ClusterMergeError(
                 f"LET ${clause.var} uses distinct-values (cross-slice dedup)"
             )
-    for clause in expr.clauses[1:]:
-        if _contains(clause.source, (DocumentCall,)) and not _correlated(
-            clause.source, group_var
-        ):
+        if documents(clause.source) and not _correlated(clause.source, group_var):
             raise ClusterMergeError(
                 f"LET ${clause.var} reads the document without comparing "
                 f"against ${group_var}; its matches need not co-occur with "
                 "the group key's slice"
             )
-    let_vars = {c.var for c in expr.clauses[1:]}
-    if expr.where is not None:
-        where_free = free_vars(expr.where)
-        if where_free & let_vars or _contains(expr.where, (DocumentCall,)):
-            raise ClusterMergeError(
-                "WHERE over LET bindings is HAVING-shaped; shards cannot "
-                "filter groups locally"
-            )
+    let_vars = {clause.var for clause in lets}
+    if expr.where is not None and (
+        documents(expr.where)
+        or any(
+            isinstance(node, VarRef) and node.name in let_vars
+            for node in walk(expr.where)
+        )
+    ):
+        raise ClusterMergeError(
+            "WHERE over LET bindings is HAVING-shaped; shards cannot "
+            "filter groups locally"
+        )
     if not isinstance(expr.ret, ElementConstructor):
         raise ClusterMergeError(
             "group merge needs a constructor RETURN (one row per group)"
         )
 
-    items: list[ItemPlan] = []
-    wrappers: list[ElementConstructor] = [
-        ElementConstructor(KEY_TAG, (), (EmbeddedExpr(VarRef(group_var)),))
-    ]
-    for index, item in enumerate(expr.ret.items):
-        plan = _classify_item(item, index, group_var)
-        items.append(plan)
-        wrappers.extend(_wrappers_for(plan))
+    wrappers = [_wrapper(KEY_TAG, VarRef(group_var))]
+    built: set[str] = set()
+    numbering = itertools.count()
+
+    def leaf_for(inner: Expr) -> TemplateLeaf:
+        index = next(numbering)
+        if inner == VarRef(group_var):
+            return TemplateLeaf("key", (KEY_TAG,))
+        kind, shipped, ordering = _classify(inner, group_var)
+        if kind == "avg":
+            tags = (f"zs{index}", f"zn{index}")
+            wrappers.append(_wrapper(tags[0], AggregateCall("sum", shipped.argument)))
+            wrappers.append(_wrapper(tags[1], CountCall(shipped.argument)))
+        else:
+            tags = (f"z{index}",)
+            wrappers.append(_wrapper(tags[0], shipped))
+        if ordering and isinstance(inner.ret, ElementConstructor):
+            built.add(tags[0])
+        return TemplateLeaf(kind, tags, ordering)
+
+    template = OutputTemplate.from_constructor(expr.ret, leaf_for)
     shard_expr = FLWR(
-        clauses=expr.clauses,
-        where=expr.where,
-        ret=ElementConstructor(ROW_TAG, (), tuple(wrappers)),
-        sortby=(),
+        expr.clauses, expr.where, ElementConstructor(ROW_TAG, (), tuple(wrappers))
     )
     return MergePlan(
-        kind="group",
-        document=document,
-        shard_query=render(shard_expr),
-        sortby=expr.sortby,
-        row_tag=expr.ret.tag,
-        row_attributes=expr.ret.attributes,
-        items=tuple(items),
+        "group", document, shard_expr, _ordering(expr.sortby), template, frozenset(built)
     )
 
 
-def _classify_item(item: object, index: int, group_var: str) -> ItemPlan:
-    if isinstance(item, TextItem):
-        return ItemPlan("static-text", index, item)
-    if isinstance(item, ElementConstructor):
-        if _contains(item, (EmbeddedExpr,)):
-            raise ClusterMergeError(
-                f"nested constructor <{item.tag}> with embedded expressions "
-                "has no per-item merge operator"
-            )
-        return ItemPlan("static-elem", index, item)
-    assert isinstance(item, EmbeddedExpr)
-    inner = item.expr
-    if inner == VarRef(group_var):
-        return ItemPlan("group", index, item)
-    if _contains(inner, (DistinctValues,)):
+def _wrapper(tag: str, expr: Expr) -> ElementConstructor:
+    return ElementConstructor(tag, (), (EmbeddedExpr(expr),))
+
+
+def _classify(inner: Expr, group_var: str) -> tuple[str, Expr, Ordering]:
+    """An embedded expression's merge operator, the expression the
+    shards ship for it, and (a member list's) SORTBY."""
+    if _dedups(inner):
         raise ClusterMergeError(
             "distinct-values inside a RETURN item needs cross-slice dedup"
         )
+    reads = documents(inner)
     # Deterministic per group value: depends only on the group variable,
     # never on slice-local data — the winning (earliest) slice's value
-    # is the global value.
-    if free_vars(inner) <= {group_var} and not _contains(
-        inner, (DocumentCall, FLWR)
+    # is the global value.  With no FLWR inside nothing is bound, so
+    # every variable it mentions is free.
+    if not reads and not any(
+        isinstance(node, FLWR) or (isinstance(node, VarRef) and node.name != group_var)
+        for node in walk(inner)
     ):
-        return ItemPlan("key", index, item)
-    if _contains(inner, (DocumentCall,)) and not _correlated(inner, group_var):
+        return "key", inner, ()
+    if reads and not _correlated(inner, group_var):
         raise ClusterMergeError(
             f"a RETURN item reads the document without comparing against "
             f"${group_var}; its matches need not co-occur with the group "
             "key's slice"
         )
     if isinstance(inner, CountCall):
-        return ItemPlan("count", index, item)
+        return "count", inner, ()
     if isinstance(inner, AggregateCall):
-        return ItemPlan(inner.function, index, item)
+        return inner.function, inner, ()
     if isinstance(inner, FLWR) and inner.sortby:
         if not _yields_nodes(inner.ret):
             raise ClusterMergeError(
                 "SORTBY inside a RETURN item over atomic values cannot be "
                 "re-applied after the merge"
             )
-        unsorted = EmbeddedExpr(dataclasses.replace(inner, sortby=()))
-        return ItemPlan("list", index, unsorted, sortby=inner.sortby)
-    return ItemPlan("list", index, item)
+        return "members", dataclasses.replace(inner, sortby=()), _ordering(inner.sortby)
+    return "members", inner, ()
 
 
 def _yields_nodes(ret: object) -> bool:
@@ -371,49 +327,26 @@ def _correlated(expr: object, group_var: str) -> bool:
     anchored to occurrences of the group key.  This *locality* is what
     makes slice-local evaluation exact: a match in slice ``k`` contains
     the key, so slice ``k``'s grouping pass also emits the group."""
-    for node in _walk(expr):
+    for node in walk(expr):
         if isinstance(node, Comparison):
-            if any(
-                isinstance(side, VarRef) and side.name == group_var
-                for side in (node.left, node.right)
-            ):
-                return True
+            sides = (node.left, node.right)
         elif isinstance(node, StepPredicate):
-            right = node.right
-            if isinstance(right, VarRef) and right.name == group_var:
-                return True
+            sides = (node.right,)
+        else:
+            continue
+        if any(isinstance(side, VarRef) and side.name == group_var for side in sides):
+            return True
     return False
 
 
-def _wrappers_for(plan: ItemPlan) -> list[ElementConstructor]:
-    if plan.kind in ("static-text", "static-elem", "group"):
-        return []  # rebuilt at the coordinator; never shipped
-    item = plan.source
-    assert isinstance(item, EmbeddedExpr)
-    if plan.kind == "avg":
-        inner = item.expr
-        assert isinstance(inner, AggregateCall)
-        zs, zn = _avg_tags(plan.index)
-        return [
-            ElementConstructor(
-                zs, (), (EmbeddedExpr(AggregateCall("sum", inner.argument)),)
-            ),
-            ElementConstructor(
-                zn, (), (EmbeddedExpr(CountCall(inner.argument)),)
-            ),
-        ]
-    return [ElementConstructor(_item_tag(plan.index), (), (item,))]
-
-
 def _compile_concat(expr: FLWR, document: str) -> MergePlan:
-    if _contains(expr, (DistinctValues,)):
+    if _dedups(expr):
         raise ClusterMergeError(
             "distinct-values outside the grouping FOR needs cross-slice dedup"
         )
     doc_fors = 0
     for position, clause in enumerate(expr.clauses):
-        has_doc = _contains(clause.source, (DocumentCall,))
-        if not has_doc:
+        if not documents(clause.source):
             continue
         if isinstance(clause, LetClause):
             raise ClusterMergeError(
@@ -428,63 +361,18 @@ def _compile_concat(expr: FLWR, document: str) -> MergePlan:
             )
     if doc_fors == 0:
         raise ClusterMergeError("the query never iterates the document")
-    if expr.where is not None and _contains(expr.where, (DocumentCall,)):
+    if expr.where is not None and documents(expr.where):
         raise ClusterMergeError("WHERE re-reads the document (cross-slice)")
-    if _contains(expr.ret, (DocumentCall,)):
+    if documents(expr.ret):
         raise ClusterMergeError(
             "RETURN re-reads the document per row (cross-slice join)"
         )
-    shard_expr = FLWR(
-        clauses=expr.clauses, where=expr.where, ret=expr.ret, sortby=()
-    )
     return MergePlan(
-        kind="concat",
-        document=document,
-        shard_query=render(shard_expr),
-        sortby=expr.sortby,
+        "concat",
+        document,
+        FLWR(expr.clauses, expr.where, expr.ret),
+        _ordering(expr.sortby),
     )
-
-
-# ----------------------------------------------------------------------
-# Document rewriting (replica routing)
-# ----------------------------------------------------------------------
-def rename_document(text_or_expr, mapping: dict[str, str]) -> str:
-    """The query text with every ``document(old)`` renamed per
-    ``mapping`` — how a hedged call targets a replica's alias."""
-    from ..query.parser import parse_query
-
-    expr = (
-        parse_query(text_or_expr)
-        if isinstance(text_or_expr, str)
-        else text_or_expr
-    )
-    return render(_rename(expr, mapping))
-
-
-def _rename(node, mapping: dict[str, str]):
-    if isinstance(node, DocumentCall):
-        return DocumentCall(mapping.get(node.name, node.name))
-    if not hasattr(node, "__dataclass_fields__"):
-        return node
-    changes = {}
-    for name in node.__dataclass_fields__:
-        value = getattr(node, name)
-        if isinstance(value, tuple):
-            renamed = tuple(
-                _rename(item, mapping)
-                if hasattr(item, "__dataclass_fields__")
-                else item
-                for item in value
-            )
-            if renamed != value:
-                changes[name] = renamed
-        elif hasattr(value, "__dataclass_fields__"):
-            renamed_one = _rename(value, mapping)
-            if renamed_one is not value:
-                changes[name] = renamed_one
-    if not changes:
-        return node
-    return dataclasses.replace(node, **changes)
 
 
 # ----------------------------------------------------------------------
@@ -510,20 +398,14 @@ def _key_value(wrapper: XMLNode) -> str:
     return wrapper.content or ""
 
 
-def _wrapper(row: XMLNode, tag: str) -> XMLNode | None:
-    for child in row.children:
-        if child.tag == tag:
-            return child
-    return None
-
-
 def merge_rows(plan: MergePlan, slice_rows: list[list[XMLNode]]) -> list[XMLNode]:
     """Combine per-slice row lists (slice order!) into the global rows.
 
     ``slice_rows[i]`` is slice ``i``'s result rows in shard-local
     order.  Missing slices must already have been handled (partial
     degradation) — this function assumes what it is given is what
-    should merge.
+    should merge.  Shard rows are consumed: their payload nodes move
+    into the merged rows.
     """
     if plan.kind == "concat":
         return [row for rows in slice_rows for row in rows]
@@ -533,152 +415,83 @@ def merge_rows(plan: MergePlan, slice_rows: list[list[XMLNode]]) -> list[XMLNode
             for row in rows:
                 total += int(atomize(row) or "0")
         return [XMLNode("value", str(total))]
-    # group: union keys slice-major, then rebuild each row.
-    order: list[str] = []
-    buckets: dict[str, list[XMLNode]] = {}
+    # group: union keys slice-major, then fill the template per group.
+    groups: dict[str, list[dict[str, XMLNode]]] = {}
     for rows in slice_rows:
         for row in rows:
-            key_node = _wrapper(row, KEY_TAG)
-            key = _key_value(key_node) if key_node is not None else ""
-            bucket = buckets.get(key)
-            if bucket is None:
-                order.append(key)
-                buckets[key] = [row]
-            else:
-                bucket.append(row)
-    return [_rebuild_row(plan, buckets[key]) for key in order]
-
-
-def _rebuild_row(plan: MergePlan, rows: list[XMLNode]) -> XMLNode:
-    """One merged group row, reconstructed with the exact semantics of
-    ``Interpreter._construct`` (texts join into content, nodes become
-    children)."""
-    assert plan.row_tag is not None
-    node = XMLNode(plan.row_tag, attributes=dict(plan.row_attributes) or None)
-    texts: list[str] = []
-    winner = rows[0]  # earliest slice containing the group
-    for item in plan.items:
-        if item.kind == "static-text":
-            assert isinstance(item.source, TextItem)
-            texts.append(item.source.text)
-        elif item.kind == "static-elem":
-            assert isinstance(item.source, ElementConstructor)
-            node.append_child(_build_static(item.source))
-        elif item.kind == "group":
-            # ``<zk>`` also keys the merge and may serve several items.
-            key = _wrapper(winner, KEY_TAG)
-            if key is not None:
-                _absorb(key.deep_copy(), texts, node)
-        elif item.kind == "key":
-            wrapper = _wrapper(winner, _item_tag(item.index))
-            _absorb(wrapper, texts, node)
-        elif item.kind == "list":
-            # Concatenate slice-major (document order), then re-apply
-            # the list's own SORTBY: the sort is stable, so the result
-            # is the single-node order.
-            start = len(node.children)
-            for row in rows:
-                _absorb(_wrapper(row, _item_tag(item.index)), texts, node)
-            if item.sortby:
-                # A path yields stored nodes, a constructor built ones.
-                stored = isinstance(item.source.expr.ret, PathExpr)
-                node.children[start:] = apply_sortby(
-                    node.children[start:],
-                    item.sortby,
-                    _stored_value if stored else atomize,
-                )
-        elif item.kind == "count":
-            total = 0
-            for row in rows:
-                wrapper = _wrapper(row, _item_tag(item.index))
-                if wrapper is not None and wrapper.content:
-                    total += int(wrapper.content)
-            texts.append(str(total))
-        elif item.kind == "sum":
-            texts.append(
-                _format_number(
-                    sum(_numbers_from(rows, _item_tag(item.index))) or 0.0
-                )
+            wrappers = {child.tag: child for child in row.children}
+            key = wrappers.get(KEY_TAG)
+            groups.setdefault(_key_value(key) if key is not None else "", []).append(
+                wrappers
             )
-        elif item.kind in ("min", "max"):
-            values = _numbers_from(rows, _item_tag(item.index))
-            if values:
-                combine = min if item.kind == "min" else max
-                texts.append(_format_number(combine(values)))
-        elif item.kind == "avg":
-            zs, zn = _avg_tags(item.index)
-            total = sum(_numbers_from(rows, zs))
-            count = int(sum(_numbers_from(rows, zn)))
-            if count:
-                texts.append(_format_number(total / count))
-        else:  # pragma: no cover - plan kinds are closed
-            raise ClusterMergeError(f"unknown item kind {item.kind!r}")
-    if texts:
-        node.content = " ".join(texts)
-    return node
+    resolve = _resolver(plan)
+    return [
+        fill_template(plan.template, resolve, rows).build() for rows in groups.values()
+    ]
 
 
-def _absorb(wrapper: XMLNode | None, texts: list[str], node: XMLNode) -> None:
-    """Move a wrapper's payload into the row under reconstruction.
-
+def _resolver(plan: MergePlan):
+    """``fill_template``'s ``resolve`` for ``plan``: a leaf's value from
+    one group's shard rows (slice-major) by the leaf's merge operator.
     A wrapper's ``content`` is the space-join of that item's string
-    values on that shard; appending it as one text piece yields the
-    same final space-joined ``content`` as appending each value."""
-    if wrapper is None:
-        return
-    if wrapper.content:
-        texts.append(wrapper.content)
-    for child in list(wrapper.children):
-        node.append_child(child)
+    values on that shard, so joining contents again yields the
+    single-node content.  Payload nodes move into the merged row; only a
+    ``<zk>`` that serves several leaves is copied."""
+    copy_key = sum(leaf.path == (KEY_TAG,) for leaf in plan.template.leaves()) > 1
 
+    def contents(rows: list[dict[str, XMLNode]], tag: str) -> list[str]:
+        return [row[tag].content for row in rows if tag in row and row[tag].content]
 
-def _numbers_from(rows: list[XMLNode], tag: str) -> list[float]:
-    values: list[float] = []
-    for row in rows:
-        wrapper = _wrapper(row, tag)
-        if wrapper is not None and wrapper.content:
-            values.append(float(wrapper.content))
-    return values
+    def resolve(leaf: TemplateLeaf, rows: list[dict[str, XMLNode]]):
+        tag = leaf.path[0]
+        if leaf.kind == "key":
+            wrapper = rows[0].get(tag)  # the earliest slice holding the group
+            if wrapper is None:
+                return None
+            if wrapper.content:
+                return wrapper.content
+            if copy_key and tag == KEY_TAG:
+                return [child.deep_copy() for child in wrapper.children]
+            return wrapper.children
+        if leaf.kind == "members":
+            texts = contents(rows, tag)
+            if texts:
+                return " ".join(texts)
+            nodes = [child for row in rows if tag in row for child in row[tag].children]
+            if leaf.ordering:
+                value = atomize if tag in plan.built else _stored_value
+                nodes = apply_sortby(nodes, leaf.ordering, value)
+            return nodes
+        if leaf.kind == "avg":
+            total = sum(float(value) for value in contents(rows, tag))
+            count = sum(int(value) for value in contents(rows, leaf.path[1]))
+            return render_number(total / count) if count else None
+        # count/sum add their partials; min/max combine theirs.
+        return aggregate_text(
+            "sum" if leaf.kind == "count" else leaf.kind, contents(rows, tag)
+        )
 
-
-def _format_number(result: float) -> str:
-    """Match ``Interpreter._aggregate``: int-if-whole else repr."""
-    if result == int(result):
-        return str(int(result))
-    return repr(result)
-
-
-def _build_static(ctor: ElementConstructor) -> XMLNode:
-    node = XMLNode(ctor.tag, attributes=dict(ctor.attributes) or None)
-    texts: list[str] = []
-    for item in ctor.items:
-        if isinstance(item, TextItem):
-            texts.append(item.text)
-        elif isinstance(item, ElementConstructor):
-            node.append_child(_build_static(item))
-    if texts:
-        node.content = " ".join(texts)
-    return node
+    return resolve
 
 
 # ----------------------------------------------------------------------
 # SORTBY over merged rows
 # ----------------------------------------------------------------------
 def apply_sortby(
-    rows: list[XMLNode], sortby: tuple[SortKey, ...], value=atomize
+    rows: list[XMLNode], ordering: Ordering, value=atomize
 ) -> list[XMLNode]:
     """The interpreter's 2001-era SORTBY: stable sort, rightmost key
     first so the leftmost is primary.  ``value`` atomizes a sort node —
     constructed nodes (merged rows) by default."""
-    if not sortby:
+    if not ordering:
         return rows
     from ..core.base import numeric_or_text
 
     ordered = list(rows)
-    for key in reversed(sortby):
+    for path, direction in reversed(ordering):
         ordered.sort(
-            key=lambda row: numeric_or_text(_sort_value(row, key.path, value)),
-            reverse=key.direction == "DESCENDING",
+            key=lambda row: numeric_or_text(_sort_value(row, path, value)),
+            reverse=direction == "DESCENDING",
         )
     return ordered
 

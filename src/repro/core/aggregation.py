@@ -49,12 +49,12 @@ class AggregateFunction(str, Enum):
         if not numbers:
             return "0" if self is AggregateFunction.SUM else ""
         if self is AggregateFunction.SUM:
-            return _render_number(sum(numbers))
+            return render_number(sum(numbers))
         if self is AggregateFunction.MIN:
-            return _render_number(min(numbers))
+            return render_number(min(numbers))
         if self is AggregateFunction.MAX:
-            return _render_number(max(numbers))
-        return _render_number(sum(numbers) / len(numbers))
+            return render_number(max(numbers))
+        return render_number(sum(numbers) / len(numbers))
 
 
 class UpdatePosition(str, Enum):
@@ -182,7 +182,9 @@ def _as_number(value: str) -> float:
         raise AlgebraError(f"non-numeric value {value!r} in numeric aggregate") from exc
 
 
-def _render_number(value: float) -> str:
+def render_number(value: float) -> str:
+    """An aggregate as the interpreter prints it: int-if-whole, else
+    ``repr``."""
     if value == int(value):
         return str(int(value))
     return repr(value)

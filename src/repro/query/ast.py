@@ -8,13 +8,16 @@ predicates (``article[author = $a]/title``), and the builtins
 ``document()``, ``distinct-values()``, ``count()``.
 
 Nodes are plain dataclasses; :func:`render` prints an AST back as query
-text (used by error messages and the explain output).
+text (used by error messages and the explain output).  :func:`walk` is
+the one traversal every inspection builds on (:func:`documents`, the
+cluster merge's classification, the translator's shape tests), and
+:func:`rename_documents` the one rewrite (replica routing).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Union
+from dataclasses import dataclass, field, fields, replace
+from typing import Iterator, Union
 
 Expr = Union[
     "FLWR",
@@ -171,6 +174,68 @@ class ElementConstructor:
     tag: str
     attributes: tuple[tuple[str, str], ...] = field(default=())
     items: tuple[Union[TextItem, EmbeddedExpr, "ElementConstructor"], ...] = field(default=())
+
+
+# ----------------------------------------------------------------------
+# Traversal
+# ----------------------------------------------------------------------
+#: Every AST node class -> the names of its fields.
+_FIELDS = {
+    cls: tuple(f.name for f in fields(cls))
+    for cls in (
+        StringLiteral, NumberLiteral, VarRef, DocumentCall, DistinctValues,
+        CountCall, AggregateCall, StepPredicate, Step, PathExpr, Comparison,
+        AndExpr, ForClause, LetClause, SortKey, FLWR, TextItem, EmbeddedExpr,
+        ElementConstructor,
+    )
+}
+
+
+def _children(node: object) -> list:
+    """The AST nodes directly below ``node``, in field order."""
+    children = []
+    for name in _FIELDS.get(type(node), ()):
+        value = getattr(node, name)
+        if type(value) is tuple:
+            children.extend(item for item in value if type(item) in _FIELDS)
+        elif type(value) in _FIELDS:
+            children.append(value)
+    return children
+
+
+def walk(node: object) -> Iterator[object]:
+    """Every AST node of ``node``'s subtree (itself first), each exactly
+    once, in preorder."""
+    stack = [node]
+    while stack:
+        current = stack.pop()
+        yield current
+        stack.extend(reversed(_children(current)))
+
+
+def documents(expr: object) -> set[str]:
+    """The names of the documents ``expr`` reads."""
+    return {node.name for node in walk(expr) if type(node) is DocumentCall}
+
+
+def rename_documents(node: object, mapping: dict[str, str]) -> object:
+    """``node`` with every ``document(old)`` renamed per ``mapping``;
+    untouched subtrees are shared, not copied."""
+    if type(node) is DocumentCall:
+        name = mapping.get(node.name, node.name)
+        return node if name == node.name else DocumentCall(name)
+    changes = {}
+    for name in _FIELDS.get(type(node), ()):
+        value = getattr(node, name)
+        if type(value) is tuple:
+            renamed = tuple(rename_documents(item, mapping) for item in value)
+            if any(new is not old for new, old in zip(renamed, value)):
+                changes[name] = renamed
+        else:
+            renamed = rename_documents(value, mapping)
+            if renamed is not value:
+                changes[name] = renamed
+    return replace(node, **changes) if changes else node
 
 
 # ----------------------------------------------------------------------

@@ -10,9 +10,7 @@ rewriter, and the three evaluators behind one API:
 
 ``load`` accepts exactly one source — ``text=``, ``tree=``, or
 ``path=`` — and returns a :class:`LoadReport` (document name, node
-count, data generation, columnar-snapshot state).  The historical
-``load_text``/``load_tree``/``load_file`` wrappers still work but emit
-:class:`DeprecationWarning`.
+count, data generation, columnar-snapshot state).
 
 ``plan`` selects the engine (a :class:`PlanMode`, or its string value):
 
@@ -41,7 +39,6 @@ from __future__ import annotations
 
 import os
 import time
-import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -60,7 +57,7 @@ from ..storage.buffer import DEFAULT_POOL_FRAMES
 from ..storage.store import NodeStore
 from ..xmlmodel.node import XMLNode
 from ..xmlmodel.tree import Collection
-from .ast import Expr
+from .ast import Expr, documents
 from .interpreter import Interpreter
 from .logical_exec import LogicalExecutor
 from .optimizer import FeedbackLoop, Optimizer, PlanDecision
@@ -430,33 +427,6 @@ class Database:
             return "disabled"
         return self.indexes.columnar_status()["state"]
 
-    def load_text(self, text: str, name: str) -> None:
-        """Deprecated: use ``load(text=..., name=...)``."""
-        warnings.warn(
-            "Database.load_text() is deprecated; use load(text=..., name=...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.load(text=text, name=name)
-
-    def load_tree(self, root: XMLNode, name: str) -> None:
-        """Deprecated: use ``load(tree=..., name=...)``."""
-        warnings.warn(
-            "Database.load_tree() is deprecated; use load(tree=..., name=...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.load(tree=root, name=name)
-
-    def load_file(self, path: str, name: str | None = None) -> None:
-        """Deprecated: use ``load(path=..., name=...)``."""
-        warnings.warn(
-            "Database.load_file() is deprecated; use load(path=..., name=...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.load(path=path, name=name)
-
     def drop_document(self, name: str) -> None:
         """Drop a document and rebuild the indexes over the rest."""
         self.store.drop_document(name)
@@ -556,7 +526,7 @@ class Database:
         grouping plan, so the first element is ``None``.
         """
         expr = self.parse(text)
-        return candidate_plans(expr, self.root_tag(self._target_document(expr)))
+        return candidate_plans(expr, self._root_tag_of(expr))
 
     def _match_strategy_status(self) -> dict[str, object]:
         """The structural-match strategy EXPLAIN reports — *without*
@@ -673,7 +643,7 @@ class Database:
         try:
             decision, _ = Optimizer(self.store, self.indexes).decide(
                 expr,
-                self.root_tag(self._target_document(expr)),
+                self._root_tag_of(expr),
                 columnar_available=self.columnar_enabled,
                 grouping_forced=(
                     self.grouping_strategy if self._grouping_forced else None
@@ -779,7 +749,7 @@ class Database:
                 try:
                     decision, built = Optimizer(self.store, self.indexes).decide(
                         expr,
-                        self.root_tag(self._target_document(expr)),
+                        self._root_tag_of(expr),
                         columnar_available=self.columnar_enabled,
                         grouping_forced=(
                             self.grouping_strategy if self._grouping_forced else None
@@ -950,31 +920,14 @@ class Database:
                 f"unknown plan mode {plan!r}; pick one of {PLAN_MODES}"
             ) from None
 
-    def _target_document(self, expr: Expr) -> str:
-        from .ast import DocumentCall
-
-        def walk(node):
-            if isinstance(node, DocumentCall):
-                yield node.name
-            for value in getattr(node, "__dict__", {}).values():
-                yield from _walk_value(value)
-            if hasattr(node, "__dataclass_fields__"):
-                for name in node.__dataclass_fields__:
-                    yield from _walk_value(getattr(node, name))
-
-        def _walk_value(value):
-            if isinstance(value, tuple):
-                for item in value:
-                    yield from _walk_value(item)
-            elif hasattr(value, "__dataclass_fields__"):
-                yield from walk(value)
-
-        names = set(walk(expr))
+    def _root_tag_of(self, expr: Expr) -> str:
+        """The root tag of the one document ``expr`` reads."""
+        names = documents(expr)
         if len(names) != 1:
             raise TranslationError(
                 f"query must target exactly one document (found {sorted(names)})"
             )
-        return names.pop()
+        return self.root_tag(names.pop())
 
     def _io_stats(self, statistics: dict[str, int]) -> dict[str, int]:
         io = {key: statistics.get(key, 0) for key in _IO_KEYS}
@@ -1022,9 +975,7 @@ class Database:
         return self._finish(text, collection, "direct", elapsed, None, profiler, before)
 
     def _build_plan(self, expr: Expr, rewritten: bool) -> PlanNode:
-        naive, grouped = candidate_plans(
-            expr, self.root_tag(self._target_document(expr))
-        )
+        naive, grouped = candidate_plans(expr, self._root_tag_of(expr))
         if rewritten:
             return grouped
         if naive is None:

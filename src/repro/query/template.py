@@ -7,8 +7,8 @@ constructor's element structure with every embedded expression reduced
 to a :class:`TemplateLeaf` over the one join-plan pattern — the group
 key ``{$g}``, a member list (the nodes a path reaches below each
 member), or an aggregate of such a list.  Every plan (the naive
-``stitch``, ``project_groups``, ``nested_groups``) carries one
-template, and every executor instantiates it through
+``stitch``, ``project_groups``, ``nested_groups``) and the cluster's
+merge plan carry one template, and every executor instantiates it through
 :func:`fill_template`, which mirrors ``Interpreter._construct``: node
 values become children in item order, string values join into the
 element's content with single spaces.
@@ -21,6 +21,7 @@ from typing import Callable, Iterator, Union
 
 from ..core.aggregation import AggregateFunction
 from ..xmlmodel.node import XMLNode
+from .ast import ElementConstructor, Expr, TextItem
 
 #: ``(path from the grouped element, direction)`` pairs, leftmost primary.
 Ordering = tuple[tuple[tuple[str, ...], str], ...]
@@ -40,6 +41,11 @@ class TemplateLeaf:
       over the nodes ``path`` reaches across the group's members;
     * ``groups`` — (outer level of a 3-level nest only) the middle
       level's group elements.
+
+    In a cluster merge plan (:mod:`repro.cluster.merge`) the same kinds
+    are merge operators over shard rows, ``path`` names the shard-row
+    wrappers a leaf reads, and ``ordering`` paths start at the returned
+    item.
     """
 
     kind: str
@@ -68,6 +74,25 @@ class OutputTemplate:
     tag: str
     attributes: tuple[tuple[str, str], ...] = ()
     items: tuple[TemplateItem, ...] = ()
+
+    @classmethod
+    def from_constructor(
+        cls, constructor: ElementConstructor, leaf_for: Callable[[Expr], TemplateLeaf]
+    ) -> "OutputTemplate":
+        """The constructor as an output template: text, attributes and
+        nested elements are construction and carry over as written;
+        ``leaf_for`` classifies each embedded expression, in document
+        order (and refuses what its caller cannot compute).  Whitespace
+        between items is not content: the parser never emits it."""
+        items: list = []
+        for item in constructor.items:
+            if isinstance(item, TextItem):
+                items.append(item.text)
+            elif isinstance(item, ElementConstructor):
+                items.append(cls.from_constructor(item, leaf_for))
+            else:
+                items.append(leaf_for(item.expr))
+        return cls(constructor.tag, constructor.attributes, tuple(items))
 
     def leaves(self) -> Iterator[TemplateLeaf]:
         """Every leaf, in document order of the constructor."""

@@ -54,8 +54,8 @@ from .ast import (
     LetClause,
     PathExpr,
     Step,
-    TextItem,
     VarRef,
+    walk,
 )
 from .plan import (
     PlanNode,
@@ -123,20 +123,13 @@ def recognize_any(expr: Expr) -> GroupingQuery | NestedGroupingQuery:
         isinstance(expr, FLWR)
         and len(expr.clauses) == 1
         and isinstance(expr.ret, ElementConstructor)
-        and any(_is_distinct_flwr(embedded) for embedded in _embedded(expr.ret))
+        and any(
+            isinstance(node, EmbeddedExpr) and _is_distinct_flwr(node.expr)
+            for node in walk(expr.ret)
+        )
     ):
         return recognize_nested(expr)
     return recognize(expr)
-
-
-def _embedded(constructor: ElementConstructor):
-    """Every embedded expression of a constructor, nested elements
-    included."""
-    for item in constructor.items:
-        if isinstance(item, EmbeddedExpr):
-            yield item.expr
-        elif isinstance(item, ElementConstructor):
-            yield from _embedded(item)
 
 
 def _is_distinct_flwr(expr: Expr) -> bool:
@@ -209,7 +202,9 @@ def recognize_nested(expr: Expr) -> NestedGroupingQuery:
         middles.append(embedded)
         return TemplateLeaf("groups")
 
-    outer_template = _template(_return_constructor(expr.ret), leaf_for)
+    outer_template = OutputTemplate.from_constructor(
+        _return_constructor(expr.ret), leaf_for
+    )
     if len(middles) != 1:
         raise TranslationError("nested grouping needs exactly one middle FLWR")
     middle = middles[0]
@@ -253,25 +248,6 @@ def _parse_distinct_over_document(source: Expr) -> tuple[str, str]:
     return path.base.name, path.steps[0].name
 
 
-def _template(
-    constructor: ElementConstructor, leaf_for: Callable[[Expr], TemplateLeaf]
-) -> OutputTemplate:
-    """The constructor as an output template: text, attributes and
-    nested elements are construction and carry over as written;
-    ``leaf_for`` classifies each embedded expression (and refuses what
-    the grouping plans cannot compute).  Whitespace between items is
-    not content: the parser never emits it."""
-    items: list = []
-    for item in constructor.items:
-        if isinstance(item, TextItem):
-            items.append(item.text)
-        elif isinstance(item, ElementConstructor):
-            items.append(_template(item, leaf_for))
-        else:
-            items.append(leaf_for(item.expr))
-    return OutputTemplate(constructor.tag, constructor.attributes, tuple(items))
-
-
 def _unwrap_aggregate(expr: Expr) -> tuple[str, Expr]:
     """``(leaf kind, argument)`` of an embedded expression."""
     if isinstance(expr, CountCall):
@@ -285,7 +261,7 @@ def _checked_template(
     constructor: ElementConstructor, leaf_for: Callable[[Expr], TemplateLeaf]
 ) -> OutputTemplate:
     """A 2-level template, with the whole-constructor conditions."""
-    template = _template(constructor, leaf_for)
+    template = OutputTemplate.from_constructor(constructor, leaf_for)
     if not template.member_leaves():
         raise TranslationError(
             "RETURN has no member list or aggregate over the grouped elements"

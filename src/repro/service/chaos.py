@@ -187,11 +187,14 @@ class NetFaultStatistics:
 
 def _hard_close(sock: socket.socket) -> None:
     """Close with RST (SO_LINGER 0): the peer sees a connection reset,
-    not an orderly EOF."""
+    not an orderly EOF.  ``SHUT_RD`` first wakes a pump blocked in
+    ``recv()`` on this socket — ``close()`` alone would not, and the
+    socket (hence the reset) would stay alive until data arrived."""
     try:
         sock.setsockopt(
             socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
         )
+        sock.shutdown(socket.SHUT_RD)
     except OSError:
         pass
     try:
@@ -428,6 +431,9 @@ class ChaosProxy:
             except OSError:
                 _hard_close(client)
                 continue
+            # The timeout bounds the connect only: a pump blocks in
+            # recv() for as long as the connection idles.
+            upstream.settimeout(None)
             self.fault_counters.add("connections_proxied")
             with self._plan_lock:
                 if epoch == self._epoch:
@@ -449,6 +455,9 @@ class ChaosProxy:
                 try:
                     chunk = src.recv(_CHUNK)
                 except OSError:
+                    # A dead direction must not leave the other one
+                    # forwarding requests whose replies nobody relays.
+                    pipe.kill()
                     return
                 if not chunk:
                     # Orderly half-close: let the other direction live.

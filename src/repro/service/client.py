@@ -65,6 +65,9 @@ RETRYABLE_ERR_KINDS = frozenset(
     {"AdmissionError", "ServerOverloadedError", "ServerDrainingError"}
 )
 
+#: Seconds :meth:`ServiceClient.close` waits for the server's ``BYE``.
+QUIT_REPLY_TIMEOUT = 0.5
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -606,9 +609,12 @@ class ServiceClient:
         return self._sock is not None
 
     def close(self) -> None:
-        """Best-effort ``QUIT``, then drop the connection."""
+        """Best-effort ``QUIT``, then drop the connection.  The goodbye
+        is waited for at most :data:`QUIT_REPLY_TIMEOUT` seconds, never
+        a full read timeout."""
         if self._sock is not None:
             try:
+                self._sock.settimeout(min(self.read_timeout, QUIT_REPLY_TIMEOUT))
                 self._write(b"QUIT\n")
                 self._read_line()  # BYE
             except (ConnectionFailedError, OSError):

@@ -139,8 +139,21 @@ def test_cluster_soak_kill_one_shard_mid_storm():
         assert counters["cluster_quarantines"] >= 1
         assert counters["cluster_readmissions"] >= 1
 
+        # Every pooled connection relays both ways after the heal: an
+        # idle proxied pipe whose reply direction had died used to
+        # swallow the PONG until the read timeout forced a reconnect.
+        for pool in cluster.coordinator._clients:
+            idle = [pool.acquire() for _ in range(pool.pooled)]
+            for client in idle:
+                started = time.monotonic()
+                client.ping()
+                assert time.monotonic() - started < 1.0, f"shard {pool.shard}"
+                pool.release(client)
+
         # ---- per-shard post-storm invariants --------------------------
+        started = time.monotonic()
         cluster.coordinator.close()
+        assert time.monotonic() - started < 5.0, "closing the pools stalled"
         for stack in cluster.shards:
             assert stack.server.stats()["server_handler_crashes"] == 0, (
                 f"shard {stack.index}: a handler thread died"

@@ -48,13 +48,26 @@ FOR $a IN distinct-values(document("bib.xml")//author)
 LET $y := document("bib.xml")//article[author = $a]/year
 RETURN <r kind="x">{$a} {count($y)} {avg($y)} {max($y)}</r>
 """
+QUERY_WRAPPED = """
+FOR $a IN distinct-values(document("bib.xml")//author)
+LET $t := document("bib.xml")//article[author = $a]/title
+RETURN <r>{$a} <n>{count($t)}</n></r>
+"""
 QUERY_CONCAT = 'FOR $b IN document("bib.xml")//article RETURN $b/title'
 QUERY_SCALAR_COUNT = 'count(document("bib.xml")//author)'
 
 
 @pytest.mark.parametrize(
     "query",
-    [QUERY_1, QUERY_2, QUERY_COUNT, QUERY_AVG, QUERY_CONCAT, QUERY_SCALAR_COUNT],
+    [
+        QUERY_1,
+        QUERY_2,
+        QUERY_COUNT,
+        QUERY_AVG,
+        QUERY_WRAPPED,
+        QUERY_CONCAT,
+        QUERY_SCALAR_COUNT,
+    ],
 )
 def test_identity_across_topologies(topology, single_node, query):
     # Twice: the shards answer the first from their engines and the

@@ -3,12 +3,7 @@ slice-major reconstruction, and typed refusal of unmergeable shapes."""
 
 import pytest
 
-from repro.cluster.merge import (
-    apply_sortby,
-    compile_merge,
-    merge_rows,
-    rename_document,
-)
+from repro.cluster.merge import apply_sortby, compile_merge, merge_rows
 from repro.datagen.sample import (
     QUERY_1,
     QUERY_2,
@@ -16,6 +11,7 @@ from repro.datagen.sample import (
     figure6_database,
 )
 from repro.errors import ClusterMergeError
+from repro.query.ast import render, rename_documents
 from repro.query.database import Database
 from repro.query.parser import parse_query
 from repro.xmlmodel.diff import assert_collections_equal
@@ -67,10 +63,10 @@ def test_sliced_grouping_identical_to_single_node(query, count):
 def test_group_plan_classification():
     plan = compile_merge(parse_query(QUERY_1))
     assert plan.kind == "group"
-    assert [item.kind for item in plan.items] == ["group", "list"]
-    assert plan.row_tag == "authorpubs"
+    assert [leaf.kind for leaf in plan.template.leaves()] == ["key", "members"]
+    assert plan.template.tag == "authorpubs"
     plan2 = compile_merge(parse_query(QUERY_COUNT))
-    assert [item.kind for item in plan2.items] == ["group", "count"]
+    assert [leaf.kind for leaf in plan2.template.leaves()] == ["key", "count"]
 
 
 def test_group_variable_ships_once():
@@ -85,19 +81,34 @@ def test_group_variable_ships_once():
     RETURN <r>{$a} {count($t)} {$a/institution} {$a}</r>
     """
     plan = compile_merge(parse_query(twice))
-    assert [item.kind for item in plan.items] == ["group", "count", "key", "group"]
+    assert [leaf.kind for leaf in plan.template.leaves()] == ["key", "count", "key", "key"]
+    assert [leaf.path for leaf in plan.template.leaves()] == [
+        ("zk",), ("z1",), ("z2",), ("zk",)
+    ]
     assert plan.shard_query.count("{$a}") == 1
     for count in (1, 2, 3):
-        assert_collections_equal(_single(twice), _run_sliced(twice, count))
+        merged = _run_sliced(twice, count)
+        assert_collections_equal(_single(twice), merged)
+        # The shipped key serves two items: each gets its own node.
+        for row in merged.roots():
+            assert len({id(child) for child in row.children}) == len(row.children)
 
 
 def test_member_list_sortby_reapplied_to_the_concatenation():
     query = QUERY_1.replace("RETURN $b/title", "RETURN $b/title SORTBY(. DESCENDING)")
     plan = compile_merge(parse_query(query))
     assert "SORTBY" not in plan.shard_query
-    assert plan.items[1].sortby and "SORTBY" in plan.describe()
+    assert list(plan.template.leaves())[1].ordering and "SORTBY" in plan.describe()
     for count in (1, 2, 3):
         assert_collections_equal(_single(query), _run_sliced(query, count))
+    # Constructed items sort on their whole string value ("byT1"), not
+    # on their own text ("by") as stored nodes would.
+    built = QUERY_1.replace(
+        "RETURN $b/title", "RETURN <x>by {$b/title}</x> SORTBY(. DESCENDING)"
+    )
+    assert compile_merge(parse_query(built)).built
+    for count in (2, 3):
+        assert_collections_equal(_single(built), _run_sliced(built, count))
     atomic = QUERY_1.replace("RETURN $b/title", "RETURN $b/@id SORTBY(.)")
     with pytest.raises(ClusterMergeError):
         compile_merge(parse_query(atomic))
@@ -217,11 +228,12 @@ def test_multi_document_queries_refused():
 
 
 def test_rename_document_rewrites_every_call():
-    renamed = rename_document(QUERY_1, {"bib.xml": "bib.xml~replica0"})
+    expr = parse_query(QUERY_1)
+    renamed = render(rename_documents(expr, {"bib.xml": "bib.xml~replica0"}))
     assert 'document("bib.xml~replica0")' in renamed
     assert 'document("bib.xml")' not in renamed
-    # Rename is also a no-op for unrelated names.
-    assert 'document("bib.xml")' in rename_document(QUERY_1, {"other": "x"})
+    # Rename is also a no-op for unrelated names: the same AST comes back.
+    assert rename_documents(expr, {"other": "x"}) is expr
 
 
 def test_partial_merge_drops_missing_slices_only():

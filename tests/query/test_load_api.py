@@ -1,4 +1,4 @@
-"""The unified Database.load() API and its deprecated wrappers."""
+"""The unified Database.load() API."""
 
 from __future__ import annotations
 
@@ -86,25 +86,8 @@ class TestColumnarField:
 
 
 class TestDeprecatedWrappers:
-    def test_load_tree_warns_and_delegates(self, fig6_tree):
-        db = Database()
-        with pytest.warns(DeprecationWarning, match="load\\(tree="):
-            db.load_tree(fig6_tree, "bib.xml")
-        assert db.documents() == ["bib.xml"]
-
-    def test_load_text_warns_and_delegates(self, xml_text):
-        db = Database()
-        with pytest.warns(DeprecationWarning, match="load\\(text="):
-            db.load_text(xml_text, "bib.xml")
-        assert len(db.query(QUERY_1)) == 3
-
-    def test_load_file_warns_and_delegates(self, xml_text, tmp_path):
-        path = tmp_path / "books.xml"
-        path.write_text(xml_text, encoding="utf-8")
-        db = Database()
-        with pytest.warns(DeprecationWarning, match="load\\(path="):
-            db.load_file(str(path))
-        assert db.documents() == ["books.xml"]
+    """The historical ``load_text``/``load_tree``/``load_file`` shims are
+    gone; ``load`` is the one entry point and never warns."""
 
     def test_load_itself_does_not_warn(self, fig6_tree, recwarn):
         Database().load(tree=fig6_tree, name="bib.xml")
