@@ -52,35 +52,3 @@ def test_a2_replication_materializes_eagerly(strategy_dbs):
     # witness before grouping even starts.
     assert lean["nodes_materialized"] <= len(lean_result.collection)
     assert eager["nodes_materialized"] > lean["nodes_materialized"]
-
-
-def test_a2_optimizer_choice_tracks_best_strategy(strategy_dbs):
-    """The costed grouping choice (no forced strategy) must not be
-    slower than the old heuristic's fixed ``sort`` beyond noise; both
-    trajectories are recorded for the A2 story."""
-    from conftest import timed_query
-
-    costed_db = build_database(BENCH_CONFIG)[0]  # optimizer picks
-    heuristic_db = build_database(BENCH_CONFIG, optimizer=False)[0]
-
-    decision = costed_db.prepare(QUERY_COUNT).decision
-    assert decision is not None and decision.grouping_strategy in (
-        "sort",
-        "hash",
-        "value-index",
-    )
-    seconds_costed, costed = timed_query(
-        costed_db,
-        QUERY_COUNT,
-        "auto",
-        bench="a2_grouping_optimizer_on",
-        strategy=decision.grouping_strategy,
-    )
-    seconds_heuristic, heuristic = timed_query(
-        heuristic_db, QUERY_COUNT, "auto", bench="a2_grouping_optimizer_off"
-    )
-    assert costed.collection.structurally_equal(heuristic.collection)
-    assert seconds_costed <= seconds_heuristic * 2.0, (
-        f"costed grouping {seconds_costed * 1000:.2f}ms vs heuristic "
-        f"{seconds_heuristic * 1000:.2f}ms"
-    )

@@ -110,45 +110,3 @@ def test_e3_columnar_identity_at_largest_scale(scaled_dbs):
     columnar = run_query(scaled_dbs[LARGEST_SCALE], QUERY_1, "groupby").collection
     fallback = run_query(fallback_db, QUERY_1, "groupby").collection
     assert diff_collections(columnar, fallback) is None
-
-
-# ----------------------------------------------------------------------
-# Cost-based optimizer: costed AUTO vs the old heuristic AUTO
-# ----------------------------------------------------------------------
-#: Generous noise bound for same-plan timing comparisons at bench scale.
-OPTIMIZER_NOISE_FACTOR = 2.0
-
-
-@pytest.mark.parametrize("scale", SCALES)
-def test_e3_optimizer_vs_heuristic(scale):
-    """AUTO with the cost model on vs off, per scale: both trajectories
-    are recorded, and the costed choice must never be slower than the
-    old always-rewrite heuristic beyond noise."""
-    from conftest import timed_query
-
-    config = BENCH_CONFIG.scaled(scale)
-    costed_db = build_database(config)[0]
-    heuristic_db = build_database(config, optimizer=False)[0]
-
-    seconds_costed, costed = timed_query(
-        costed_db, QUERY_1, "auto", bench="e3_auto_optimizer_on", scale=scale
-    )
-    seconds_heuristic, heuristic = timed_query(
-        heuristic_db, QUERY_1, "auto", bench="e3_auto_optimizer_off", scale=scale
-    )
-    assert diff_collections(costed.collection, heuristic.collection) is None
-    assert seconds_costed <= seconds_heuristic * OPTIMIZER_NOISE_FACTOR, (
-        f"costed AUTO {seconds_costed * 1000:.2f}ms vs heuristic "
-        f"{seconds_heuristic * 1000:.2f}ms at scale {scale}"
-    )
-
-
-def test_e3_optimizer_picks_cheapest_candidate():
-    """At the default scale the chosen plan's cost is the candidate
-    minimum, and EXPLAIN carries at least one rejected alternative."""
-    db = build_database(BENCH_CONFIG)[0]
-    cost = db.explain(QUERY_1).to_dict()["cost_model"]
-    assert cost["enabled"] and cost["costed"]
-    costs = {c["name"]: c["cost"] for c in cost["candidates"]}
-    assert cost["chosen"]["cost"] == min(costs.values())
-    assert len(costs) >= 2

@@ -118,14 +118,13 @@ RETURN $b/title
 
 
 def test_e4_nested_collapse_explain(inst_db):
-    """EXPLAIN on the 3-level variant: the cost model section names the
-    collapsed single-block plan and the rejected direct evaluation."""
+    """EXPLAIN on the 3-level variant: no naive join plan exists, and
+    join-graph isolation collapses the nesting into one grouping plan."""
     explanation = inst_db.explain(NESTED_3LEVEL_QUERY)
-    assert "=== cost model ===" in explanation
-    cost = explanation.to_dict()["cost_model"]
-    assert cost["kind"] == "nested-grouping"
-    assert cost["chosen"]["name"] == "isolated-groupby"
-    assert any(c["name"] == "direct-nested-loop" for c in cost["candidates"])
+    assert "no single naive join plan" in explanation
+    plans = explanation.to_dict()["plans"]
+    assert plans["naive"] is None
+    assert plans["groupby"]["op"] == "nested_groups"
 
 
 def test_e4_nested_direct(benchmark, inst_db):

@@ -17,7 +17,7 @@ def main() -> None:
     info = db.store.document("bib.xml")
     print(serialize(db.store.materialize(info.root_nid)))
 
-    print("=== the plans the optimizer considers ===")
+    print("=== the naive join plan and its GROUPBY rewrite ===")
     print(db.explain(QUERY_1).render())
 
     print("\n=== Query 1: titles grouped by author ===")

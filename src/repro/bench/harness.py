@@ -81,15 +81,13 @@ def build_database(
     grouping_strategy: str | None = None,
     use_indexes: bool = True,
     columnar: bool | None = None,
-    optimizer: bool | None = None,
 ) -> tuple[Database, DBLPProfile]:
     """Generate, load, and index a synthetic DBLP database.
 
     ``columnar`` forces the columnar hot path on or off (``None``
-    defers to the ``REPRO_COLUMNAR`` environment flag).  Passing a
-    ``grouping_strategy`` *forces* it — the cost-based optimizer only
-    picks one when it is left ``None``.  ``optimizer`` toggles the
-    cost-based plan choice (``None`` defers to ``REPRO_OPTIMIZER``).
+    defers to the ``REPRO_COLUMNAR`` environment flag).
+    ``grouping_strategy`` picks the GROUPBY implementation (``None`` is
+    the paper's identifier sort).
     """
     tree, profile = generate_dblp_with_profile(config)
     db = Database(
@@ -97,7 +95,6 @@ def build_database(
         grouping_strategy=grouping_strategy,
         use_indexes=use_indexes,
         columnar=columnar,
-        optimizer=optimizer,
     )
     db.load(tree=tree, name="bib.xml")
     return db, profile

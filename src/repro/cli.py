@@ -104,23 +104,10 @@ def main(argv: list[str] | None = None) -> int:
         metavar="SECONDS",
         help="cancel the query after this many seconds (exit code 2)",
     )
-    query.add_argument(
-        "--no-optimizer",
-        action="store_true",
-        help="disable the cost-based optimizer (heuristic AUTO plan choice)",
-    )
 
     explain = commands.add_parser("explain", help="show naive + rewritten plans")
     explain.add_argument("database", help="XML file to load as bib.xml")
     explain.add_argument("--query-file", help="file with the XQuery text (default: Query 1)")
-    explain.add_argument(
-        "--verbose", action="store_true", help="annotate plans with optimizer estimates"
-    )
-    explain.add_argument(
-        "--no-optimizer",
-        action="store_true",
-        help="disable the cost-based optimizer (heuristic AUTO plan choice)",
-    )
 
     info = commands.add_parser("info", help="database summary: documents, pages, tags")
     info.add_argument("database", help="XML file to load as bib.xml")
@@ -291,13 +278,11 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command in ("query", "explain"):
-        db = Database(
-            optimizer=False if getattr(args, "no_optimizer", False) else None
-        )
+        db = Database()
         db.load(path=args.database, name="bib.xml")
         text = _read_query(args)
         if args.command == "explain":
-            print(db.explain(text, verbose=getattr(args, "verbose", False)).render())
+            print(db.explain(text).render())
             return 0
         try:
             result = db.query(

@@ -677,7 +677,7 @@ class ClusterCoordinator:
     # ------------------------------------------------------------------
     # EXPLAIN / HEALTH / STATS
     # ------------------------------------------------------------------
-    def explain(self, text: str, *, verbose: bool = False) -> Explanation:
+    def explain(self, text: str) -> Explanation:
         """The cluster plan stacked on a representative shard's local
         explanation of the query it would actually run."""
         expr = parse_query(text)
@@ -699,14 +699,7 @@ class ClusterCoordinator:
                 f"  slice {slot.index}: shard {slot.primary}{note}{extra}"
             )
         lines.append(f"merge: {merge_line}")
-        local = self._explain_local(placement, shard_expr, shard_text, verbose)
-        # Roll the shard's cost-model statistics version up into the
-        # cluster section, so a cross-shard plan is traceable to the
-        # statistics it was costed against.
-        cost_model = local.to_dict().get("cost_model") or {}
-        stats_version = cost_model.get("stats_version")
-        if stats_version is not None:
-            lines.append(f"shard statistics version: {stats_version}")
+        local = self._explain_local(placement, shard_expr, shard_text)
         payload = {
             "cluster": {
                 "document": placement.name,
@@ -721,12 +714,11 @@ class ClusterCoordinator:
                 ],
                 "merge": merge_line,
                 "shard_query": shard_text,
-                "statistics_version": stats_version,
             }
         }
         return local.with_section("cluster plan", "\n".join(lines), **payload)
 
-    def _explain_local(self, placement, shard_expr, shard_text, verbose) -> Explanation:
+    def _explain_local(self, placement, shard_expr, shard_text) -> Explanation:
         """A representative shard's explanation of the query the shards
         would actually run."""
         last_error: Exception | None = None
@@ -735,9 +727,7 @@ class ClusterCoordinator:
             for shard in self._candidate_order(slot):
                 text = shard_text if shard == slot.primary else replica_text()
                 try:
-                    reply = self._clients[shard].call(
-                        "EXPLAIN", {"q": text, "verbose": verbose}
-                    )
+                    reply = self._clients[shard].call("EXPLAIN", {"q": text})
                 except RemoteError as error:
                     # The shard answered: the text doesn't explain, and
                     # the outcome is the same everywhere.

@@ -6,10 +6,12 @@ store — the same scan order the bulk loader wrote, so building is
 page-sequential — and then serves label streams to the pattern matcher
 without touching data pages.
 
-Indexes are rebuilt on open rather than persisted; with bulk-loaded
-read-mostly databases this keeps the storage format simple while the
-measured query paths are unaffected (index construction happens before
-statistics are reset for a run).
+A directory database persists its indexes in ``indexes.pages``
+(:mod:`repro.indexing.persist`): :meth:`IndexManager.try_load` restores
+them on open when the snapshot's store fingerprint still matches, and
+anything missing, corrupt or stale falls back to a rebuild scan.
+Streaming ingest folds each committed batch into the live structures
+instead of rebuilding them (:meth:`IndexManager.apply_ingest_batch`).
 """
 
 from __future__ import annotations
@@ -37,11 +39,6 @@ class IndexManager:
         # lazily on first query and invalidated by every rebuild.
         self._columnar = None
         self._columnar_lock = threading.Lock()
-        # Optimizer statistics for the current store generation; built
-        # eagerly by build() (load time) and lazily after a snapshot
-        # restore that predates the statistics chunk.
-        self._statistics = None
-        self._statistics_lock = threading.Lock()
         # Streaming-ingest maintenance counters: batches folded into the
         # live structures incrementally, and full rebuilds that folding
         # made unnecessary (one per structure per batch).
@@ -73,13 +70,6 @@ class IndexManager:
         self.value_index = value_index
         self._built = True
         self._columnar = None  # stale for the new generation; rebuilt lazily
-        # Statistics are collected at load time — here, right after the
-        # scan, so a following save() persists them with the snapshot.
-        from .statistics import build_statistics
-
-        self._statistics = build_statistics(
-            self.store, tag_index, value_index, self.store.generation
-        )
 
     def ensure_built(self) -> None:
         """Build on first use; safe to race from many query threads."""
@@ -101,7 +91,7 @@ class IndexManager:
         doc_id: int,
     ) -> None:
         """Fold one *committed* ingest batch into every index structure
-        — tag index, value index, statistics, and columnar table —
+        — tag index, value index, and columnar table —
         instead of rebuilding them from a store scan.
 
         ``records`` are the batch's new node records in nid order (the
@@ -114,9 +104,7 @@ class IndexManager:
         once complete; concurrent readers see either the pre- or
         post-batch snapshot, never a half-applied one.
 
-        Statistics are versioned at the post-batch store generation, so
-        every cache keyed on the statistics version invalidates at batch
-        granularity.  The columnar table is extended only when it was
+        The columnar table is extended only when it was
         fresh for the pre-batch generation; a stale one stays stale and
         rebuilds lazily as before.
         """
@@ -125,23 +113,14 @@ class IndexManager:
             # pays one full build, exactly as before this subsystem.
             return
         with deadline_scope(None):
-            from .statistics import merge_ingest_batch
-
             root_replace = old_root_record is not None and (
                 old_root_record.end != root_record.end
             )
 
-            # Value index first: distinct-value deltas must be observed
-            # *before* the batch's own contents are inserted.
-            distinct_added: dict[int, int] = {}
             value_index = self.value_index
             for record in records:
                 if record.content is None:
                     continue
-                if not value_index.contains(record.tag_sym, record.content):
-                    distinct_added[record.tag_sym] = (
-                        distinct_added.get(record.tag_sym, 0) + 1
-                    )
                 value_index.add(
                     record.tag_sym,
                     record.content,
@@ -193,21 +172,6 @@ class IndexManager:
             self.rebuilds_avoided += 1
 
             generation = self.store.generation
-            stats = self._statistics
-            if stats is not None:
-                root_adjust = None
-                if root_replace:
-                    root_adjust = (
-                        root_record.tag_sym,
-                        root_record.subtree_node_count
-                        - old_root_record.subtree_node_count,
-                    )
-                self._statistics = merge_ingest_batch(
-                    stats, records, distinct_added, root_adjust, generation
-                )
-                self.incremental_updates += 1
-                self.rebuilds_avoided += 1
-
             table = self._columnar
             if table is not None and table.generation == generation - 1:
                 from .columnar import extend_columnar_table
@@ -269,73 +233,11 @@ class IndexManager:
             "generation": self.store.generation,
         }
 
-    # ------------------------------------------------------------------
-    # Optimizer statistics (per-tag counts, distincts, levels, subtrees)
-    # ------------------------------------------------------------------
-    def ensure_statistics(self):
-        """The :class:`~repro.indexing.statistics.StoreStatistics` for
-        the current store generation.
-
-        Normally already present — :meth:`build` collects statistics at
-        load time — this is the lazy path for snapshots persisted before
-        the statistics chunk existed, and the staleness guard after a
-        generation bump without a rebuild.
-        """
-        stats = self._statistics
-        if stats is not None and stats.generation == self.store.generation:
-            return stats
-        with self._statistics_lock:
-            stats = self._statistics
-            if stats is not None and stats.generation == self.store.generation:
-                return stats
-            from .statistics import build_statistics
-
-            self.ensure_built()
-            stats = build_statistics(
-                self.store, self.tag_index, self.value_index, self.store.generation
-            )
-            self._statistics = stats
-            self._persist_snapshot_extras()
-            return stats
-
-    def statistics_if_fresh(self):
-        """The cached statistics when they match the current generation,
-        else None — never triggers a build (EXPLAIN and the snapshot
-        writer use this)."""
-        stats = self._statistics
-        if stats is not None and stats.generation == self.store.generation:
-            return stats
-        return None
-
-    def statistics_version(self) -> int:
-        """The statistics version: the store generation the current
-        statistics were built against.  Cache keys embed this so a
-        statistics refresh (load/compact/repair) can never serve a plan
-        costed against stale statistics."""
-        return self.ensure_statistics().version
-
-    def statistics_status(self) -> dict[str, object]:
-        """Statistics state for EXPLAIN and load reports; non-building."""
-        stats = self.statistics_if_fresh()
-        if stats is not None:
-            return {
-                "state": "ready",
-                "tags": stats.n_tags,
-                "total_nodes": stats.total_nodes,
-                "version": stats.version,
-            }
-        return {
-            "state": "pending",
-            "tags": None,
-            "total_nodes": None,
-            "version": self.store.generation,
-        }
-
-    def _persist_snapshot_extras(self) -> None:
+    def _persist_columnar(self) -> None:
         """Opportunistically rewrite the index snapshot so the lazily
-        built extras (columnar table, statistics) are included.
-        Persistence is a cache: any failure (or a snapshot that is
-        already stale) is silently skipped."""
+        built columnar table is included.  Persistence is a cache: any
+        failure (or a snapshot that is already stale) is silently
+        skipped."""
         directory = self.store.directory
         if directory is None:
             return
@@ -346,11 +248,6 @@ class IndexManager:
                 save_indexes(self, directory)
         except Exception:
             pass
-
-    def _persist_columnar(self) -> None:
-        """Opportunistically rewrite the index snapshot with the fresh
-        columnar table included."""
-        self._persist_snapshot_extras()
 
     # ------------------------------------------------------------------
     # Persistence (indexes.pages in the database directory)

@@ -15,7 +15,7 @@ kind 0x01  tag chunk: ``tag_sym u32 | n u16 | n x label``
 kind 0x02  value chunk: ``tag_sym u32 | len u16 | content utf-8 |
            n u16 | n x label``
 kind 0x03  columnar chunk: ``n u16 | n x row`` (rows in table order)
-kind 0x04  statistics chunk: ``n u16 | n x stat``
+kind 0x04  legacy: skipped on load, never written
 =========  ==========================================================
 
 where ``label`` is ``nid u32 | start u32 | end u32 | level u16`` and
@@ -25,13 +25,9 @@ doc u16`` — one row of the columnar node table
 when the manager holds a table for the current generation; snapshots
 without them simply leave the table to a lazy rebuild on first query.
 
-``stat`` is ``tag_sym u32 | count u32 | distinct u32 | min_level u16 |
-max_level u16 | subtree_total u64`` — one per-tag row of the optimizer
-statistics (:mod:`repro.indexing.statistics`).  Like the columnar
-chunks, statistics are written when the manager holds them for the
-current generation and left to a lazy rebuild otherwise; on load they
-are stamped with the store's current generation (the statistics
-*version*), exactly as the columnar table is.
+Kind 0x04 held per-tag statistics for a cost model that planning no
+longer uses.  Snapshots written before its removal still carry those
+records; the reader skips them instead of refusing the snapshot.
 
 On load, a missing file, a corrupt page, or a fingerprint mismatch all
 fall back to a rebuild — persistence is a cache, never a source of
@@ -60,19 +56,15 @@ _KIND_HEADER = 0x00
 _KIND_TAG = 0x01
 _KIND_VALUE = 0x02
 _KIND_COLUMNAR = 0x03
-_KIND_STATS = 0x04
+_KIND_LEGACY_STATS = 0x04
 
 _COLUMNAR_PREFIX = struct.Struct(">BH")
 _ROW = struct.Struct(">IIIHIH")
-_STATS_PREFIX = struct.Struct(">BH")
-_STAT_ROW = struct.Struct(">IIIHHQ")
 
 # Labels per chunk record, sized to keep records well under a page.
 CHUNK_LABELS = 400
 # Columnar rows per chunk (20 bytes each; well under the 8 KiB page).
 CHUNK_ROWS = 300
-# Statistics rows per chunk (24 bytes each).
-CHUNK_STATS = 200
 
 
 def fingerprint_of(meta) -> tuple[int, int, int]:
@@ -191,27 +183,6 @@ def save_indexes(manager, directory: str) -> None:
                         for row in range(start, stop)
                     )
                 )
-
-        # The optimizer statistics, when fresh for this fingerprint.
-        stats = getattr(manager, "statistics_if_fresh", lambda: None)()
-        if stats is not None:
-            rows = stats.rows()
-            for start in range(0, len(rows), CHUNK_STATS):
-                chunk = rows[start : start + CHUNK_STATS]
-                writer.add(
-                    _STATS_PREFIX.pack(_KIND_STATS, len(chunk))
-                    + b"".join(
-                        _STAT_ROW.pack(
-                            row.tag_sym,
-                            row.count,
-                            row.distinct_values,
-                            row.min_level,
-                            row.max_level,
-                            row.total_subtree_nodes,
-                        )
-                        for row in chunk
-                    )
-                )
         writer.flush()
     finally:
         disk.close()  # flushes and fsyncs the staged file
@@ -241,7 +212,6 @@ def load_indexes(manager, directory: str) -> bool:
     row_tags = array("l")
     row_docs = array("l")
     columnar_seen = False
-    stat_rows: list = []
     try:
         disk = DiskManager(path)
     except ReproError:
@@ -287,31 +257,10 @@ def load_indexes(manager, directory: str) -> bool:
                         row_levels.append(level)
                         row_tags.append(tag_sym)
                         row_docs.append(doc)
-                elif kind == _KIND_STATS:
-                    from .statistics import TagStatistics
-
-                    _, count = _STATS_PREFIX.unpack_from(raw, 0)
-                    offset = _STATS_PREFIX.size
-                    for _ in range(count):
-                        (
-                            tag_sym,
-                            tag_count,
-                            distinct,
-                            min_level,
-                            max_level,
-                            subtree_total,
-                        ) = _STAT_ROW.unpack_from(raw, offset)
-                        offset += _STAT_ROW.size
-                        stat_rows.append(
-                            TagStatistics(
-                                tag_sym=tag_sym,
-                                count=tag_count,
-                                distinct_values=distinct,
-                                min_level=min_level,
-                                max_level=max_level,
-                                total_subtree_nodes=subtree_total,
-                            )
-                        )
+                elif kind == _KIND_LEGACY_STATS:
+                    # Cost-model statistics from an older snapshot: the
+                    # indexes are intact, so skip the record, not the file.
+                    continue
                 else:
                     return False  # unknown record kind: treat as corrupt
         if not header_seen:
@@ -338,14 +287,6 @@ def load_indexes(manager, directory: str) -> bool:
         )
     else:
         manager._columnar = None
-    if stat_rows:
-        from .statistics import statistics_from_rows
-
-        manager._statistics = statistics_from_rows(
-            stat_rows, generation=manager.store.generation
-        )
-    else:
-        manager._statistics = None
     return True
 
 

@@ -35,12 +35,6 @@ class ValueIndex:
     def add(self, tag_sym: int, content: str, label: NodeLabel) -> None:
         self._tree.insert((tag_sym, content), label)
 
-    def contains(self, tag_sym: int, content: str) -> bool:
-        """Key-existence probe that charges no lookup counters (used by
-        incremental statistics maintenance to spot new distinct values
-        *before* inserting them)."""
-        return (tag_sym, content) in self._tree
-
     def replace_label(
         self, tag_sym: int, content: str, old: NodeLabel, new: NodeLabel
     ) -> None:

@@ -100,7 +100,6 @@ def snapshot_counters(store, indexes=None, matcher=None) -> CounterSnapshot:
     """
     from ..indexing.columnar import columnar_statistics
     from ..pattern.structural_join import join_statistics
-    from ..query.optimizer import optimizer_statistics
 
     data: dict[str, int] = {}
     data.update(store.counters.snapshot())
@@ -108,7 +107,6 @@ def snapshot_counters(store, indexes=None, matcher=None) -> CounterSnapshot:
     data.update(store.disk.counters.snapshot())
     data.update(join_statistics().snapshot())
     data.update(columnar_statistics().snapshot())
-    data.update(optimizer_statistics().snapshot())
     # Fault-injection and crash-recovery layers, when present (the disk
     # may be a FaultyDiskManager; the store keeps recovery counters).
     recovery = getattr(store, "recovery", None)

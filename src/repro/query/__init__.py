@@ -2,7 +2,6 @@
 
 from .ast import render
 from .database import Database, QueryResult
-from .estimate import CardinalityEstimator, PlanChoice, PlanEstimate
 from .interpreter import Interpreter
 from .logical_exec import LogicalExecutor
 from .parser import parse_query
@@ -16,9 +15,6 @@ __all__ = [
     "render",
     "Database",
     "QueryResult",
-    "CardinalityEstimator",
-    "PlanChoice",
-    "PlanEstimate",
     "Interpreter",
     "LogicalExecutor",
     "parse_query",

@@ -14,9 +14,10 @@ count, data generation, columnar-snapshot state).
 
 ``plan`` selects the engine (a :class:`PlanMode`, or its string value):
 
-* ``auto`` — translate + rewrite to the GROUPBY physical plan; fall
-  back to the direct interpreter when the query is outside the
-  translatable family;
+* ``auto`` — the paper's Sec. 4 rule: a query the recognizer accepts
+  is rewritten to the GROUPBY physical plan (a 3-level nested FLWR
+  collapses into one grouping plan); anything else runs on the direct
+  interpreter;
 * ``direct`` — the paper's baseline: direct execution as written;
 * ``naive`` / ``naive-hash`` — the naive join plan, executed physically
   (nested loops, or an amortized hash value-join);
@@ -60,7 +61,6 @@ from ..xmlmodel.tree import Collection
 from .ast import Expr, documents
 from .interpreter import Interpreter
 from .logical_exec import LogicalExecutor
-from .optimizer import FeedbackLoop, Optimizer, PlanDecision
 from .parser import parse_query
 from .physical import PhysicalExecutor
 from .plan import PlanNode
@@ -93,11 +93,6 @@ _COLUMNAR_OFF_VALUES = frozenset({"off", "0", "false", "no"})
 def _columnar_default() -> bool:
     """Resolve the ``REPRO_COLUMNAR`` environment flag (default: on)."""
     return os.environ.get("REPRO_COLUMNAR", "").strip().lower() not in _COLUMNAR_OFF_VALUES
-
-
-def _optimizer_default() -> bool:
-    """Resolve the ``REPRO_OPTIMIZER`` environment flag (default: on)."""
-    return os.environ.get("REPRO_OPTIMIZER", "").strip().lower() not in _COLUMNAR_OFF_VALUES
 
 
 @dataclass(frozen=True)
@@ -198,8 +193,6 @@ class PreparedQuery:
     plan: PlanNode | None  # None for the direct interpreter
     join_strategy: str = "nested-loop"
     generation: int = 0
-    decision: PlanDecision | None = None  # the cost model's choice (AUTO)
-    stats_version: int = 0  # statistics version the plan was costed against
 
 
 class Explanation(str):
@@ -224,7 +217,7 @@ class Explanation(str):
         return str(self)
 
     def to_dict(self) -> dict:
-        """Structured plans (and optimizer estimates when verbose)."""
+        """The structured plans behind the text."""
         return self._payload
 
     def with_section(self, title: str, text: str, **payload) -> "Explanation":
@@ -248,7 +241,6 @@ class Database:
         fault_plan: "FaultPlan | None" = None,
         degraded: bool = False,
         columnar: bool | None = None,
-        optimizer: bool | None = None,
     ):
         """Open (or create) a database.
 
@@ -261,26 +253,17 @@ class Database:
         XPath-accelerator hot path (``None`` defers to the
         ``REPRO_COLUMNAR`` environment flag; default on).  It has no
         effect when ``use_indexes=False`` — the columnar table is
-        derived from the tag index.  ``optimizer`` enables the
-        cost-based optimizer on AUTO plan selection (``None`` defers to
-        ``REPRO_OPTIMIZER``; default on).  ``grouping_strategy`` forces
-        one GROUPBY implementation (``"sort"``/``"hash"``/
-        ``"replicate"``/``"value-index"``); the default ``None`` lets
-        the optimizer cost the strategies (falling back to the paper's
-        sort default when the optimizer is off).
+        derived from the tag index.  ``grouping_strategy`` picks the
+        GROUPBY implementation (``"sort"``/``"hash"``/``"replicate"``/
+        ``"value-index"``); the default is the paper's identifier sort.
         """
         self.store = NodeStore(
             directory, pool_frames=pool_frames, fault_plan=fault_plan, degraded=degraded
         )
         self.indexes = IndexManager(self.store)
         self.grouping_strategy = grouping_strategy or "sort"
-        self._grouping_forced = grouping_strategy is not None
         self.use_indexes = use_indexes
         self.columnar_enabled = _columnar_default() if columnar is None else bool(columnar)
-        self.optimizer_enabled = (
-            _optimizer_default() if optimizer is None else bool(optimizer)
-        )
-        self._feedback = FeedbackLoop()
         if self.store.documents():
             # Reopen path: persisted indexes when fresh, else rebuild.
             if directory is None or not self.indexes.try_load(directory):
@@ -456,15 +439,6 @@ class Database:
         """
         return self.store.generation
 
-    @property
-    def statistics_version(self) -> int:
-        """The version of the load-time statistics the optimizer costs
-        plans against (the store generation they were built at).  Cache
-        keys embed this so a statistics refresh always re-plans."""
-        if not self.use_indexes:
-            return 0
-        return self.indexes.statistics_version()
-
     def info(self) -> dict[str, object]:
         """Summary of the database: documents, sizes, index statistics."""
         self.indexes.ensure_built()
@@ -552,24 +526,17 @@ class Database:
             + f"structural match: {status['strategy']} ({detail})"
         )
 
-    def explain(self, text: str, *, verbose: bool = False) -> Explanation:
+    def explain(self, text: str) -> Explanation:
         """The candidate plans for a query, *without* executing it.
 
         Returns an :class:`Explanation`: usable as plain text, with
         ``to_dict()`` for programmatic consumers.  A query outside the
         translatable grouping family reports ``plan: direct`` with the
-        translator's reason.  ``verbose=True``
-        annotates every operator with the optimizer's row/cost
-        estimates and appends the plan comparison.  All options are
-        keyword-only — the pre-redesign positional form was removed in
-        the columnar API unification.
+        translator's reason — what ``auto`` runs for it.
         """
-        expr = self.parse(text)
         try:
             naive, grouped = self.plans_for(text)
         except TranslationError as exc:
-            # Outside the grouping family: ``auto`` answers it with the
-            # direct interpreter, so that is the plan to report.
             reason = str(exc)
             return Explanation(
                 f"=== plan ===\nplan: direct (direct interpreter; {reason})",
@@ -584,157 +551,28 @@ class Database:
             },
             "match_strategy": strategy,
         }
-        cost_text, payload["cost_model"] = self._cost_model_section(text, expr)
-        naive_section = (
+        naive_text = (
             "(3-level nested FLWR: no single naive join plan; join-graph\n"
             " isolation collapses the nesting into the grouping plan below)"
             if naive is None
-            else None
+            else naive.explain()
         )
-        if not verbose:
-            text_out = (
-                "=== naive (join) plan ===\n"
-                + (naive_section if naive is None else naive.explain())
-                + "\n=== rewritten (GROUPBY) plan ===\n"
-                + grouped.explain()
-                + self._render_match_strategy(strategy)
-                + cost_text
-            )
-            return Explanation(text_out, payload)
-        from .estimate import CardinalityEstimator
-
-        estimator = CardinalityEstimator(self.store, self.indexes)
-        optimizer_section = ""
-        if naive is not None:
-            choice = estimator.compare_plans(naive, grouped)
-            payload["optimizer"] = {
-                "naive_cost": choice.naive_cost,
-                "groupby_cost": choice.groupby_cost,
-                "winner": choice.winner,
-                "advantage": choice.advantage,
-            }
-            optimizer_section = "\n=== optimizer ===\n" + (
-                f"estimated cost: naive ~{choice.naive_cost:.0f} lookups, "
-                f"groupby ~{choice.groupby_cost:.0f} lookups -> "
-                f"{choice.winner} (advantage {choice.advantage:.1f}x)"
-            )
         text_out = (
             "=== naive (join) plan ===\n"
-            + (naive_section if naive is None else estimator.annotate(naive))
+            + naive_text
             + "\n=== rewritten (GROUPBY) plan ===\n"
-            + estimator.annotate(grouped)
-            + optimizer_section
+            + grouped.explain()
             + self._render_match_strategy(strategy)
-            + cost_text
         )
         return Explanation(text_out, payload)
-
-    def _cost_model_section(self, text: str, expr: Expr) -> tuple[str, dict]:
-        """EXPLAIN's ``=== cost model ===`` section: the optimizer's
-        chosen plan, the rejected alternatives, and the per-operator
-        estimates (with actuals once the query has run)."""
-        header = "\n=== cost model ===\n"
-        if not (self.use_indexes and self.optimizer_enabled):
-            reason = "use_indexes=False" if not self.use_indexes else "optimizer disabled"
-            return (
-                header + f"optimizer off ({reason}); heuristic plan choice",
-                {"enabled": False, "reason": reason},
-            )
-        try:
-            decision, _ = Optimizer(self.store, self.indexes).decide(
-                expr,
-                self._root_tag_of(expr),
-                columnar_available=self.columnar_enabled,
-                grouping_forced=(
-                    self.grouping_strategy if self._grouping_forced else None
-                ),
-                corrections=self._feedback.corrections(text),
-            )
-        except TranslationError as exc:
-            return (
-                header
-                + f"query outside the costed grouping family ({exc});\n"
-                + "direct interpreter, uncosted",
-                {"enabled": True, "costed": False, "reason": str(exc)},
-            )
-        actuals = self._feedback.actuals(text)
-        chosen = decision.chosen
-        lines = [
-            f"statistics version: {decision.stats_version}",
-            f"chosen: {chosen.name} (mode {chosen.mode}, join {chosen.join_strategy}) "
-            f"cost ~{chosen.cost:.0f}"
-            + (" [re-costed from feedback]" if decision.recosted else ""),
-        ]
-        for rejected in decision.rejected:
-            factor = rejected.cost / max(chosen.cost, 1e-9)
-            lines.append(
-                f"rejected: {rejected.name} (mode {rejected.mode}) "
-                f"cost ~{rejected.cost:.0f} ({factor:.1f}x worse)"
-            )
-        if decision.match_candidates:
-            alts = ", ".join(
-                f"{name} ~{cost:.0f}" for name, cost in decision.match_candidates
-            )
-            lines.append(f"match strategy: {decision.match_strategy} ({alts})")
-        if decision.grouping_candidates:
-            alts = ", ".join(
-                f"{name} ~{cost:.0f}" for name, cost in decision.grouping_candidates
-            )
-            lines.append(f"grouping strategy: {decision.grouping_strategy} ({alts})")
-        if decision.forecasts:
-            lines.append("operators (estimated rows -> actual):")
-            for forecast in decision.forecasts:
-                actual = actuals.get((forecast.op, forecast.detail))
-                actual_text = "-" if actual is None else f"{actual:.0f}"
-                lines.append(
-                    f"  {forecast.op} {forecast.detail}: "
-                    f"est {forecast.est_rows:.0f} -> {actual_text}"
-                )
-        cost_payload = {
-            "enabled": True,
-            "costed": True,
-            "kind": decision.kind,
-            "stats_version": decision.stats_version,
-            "recosted": decision.recosted,
-            "chosen": {
-                "name": chosen.name,
-                "mode": chosen.mode,
-                "join_strategy": chosen.join_strategy,
-                "cost": chosen.cost,
-                "rows": chosen.rows,
-            },
-            "candidates": [
-                {
-                    "name": c.name,
-                    "mode": c.mode,
-                    "join_strategy": c.join_strategy,
-                    "cost": c.cost,
-                    "rows": c.rows,
-                }
-                for c in decision.candidates
-            ],
-            "match_strategy": decision.match_strategy,
-            "match_candidates": list(decision.match_candidates),
-            "grouping_strategy": decision.grouping_strategy,
-            "grouping_candidates": list(decision.grouping_candidates),
-            "forecasts": [
-                {
-                    "op": f.op,
-                    "detail": f.detail,
-                    "est_rows": f.est_rows,
-                    "est_cost": f.est_cost,
-                    "actual": actuals.get((f.op, f.detail)),
-                }
-                for f in decision.forecasts
-            ],
-        }
-        return header + "\n".join(lines), cost_payload
 
     def prepare(self, text: str, *, plan: PlanMode | str | None = None) -> PreparedQuery:
         """Parse and plan ``text`` without executing it.
 
-        ``AUTO`` is resolved here: the GROUPBY rewrite when the query is
-        translatable, the direct interpreter otherwise.  The returned
+        ``AUTO`` is resolved here by the paper's rule, not by cost: the
+        GROUPBY rewrite (the join-graph-isolation collapse for a 3-level
+        nested FLWR) when the query is translatable, the direct
+        interpreter otherwise.  The returned
         :class:`PreparedQuery` can be executed any number of times with
         :meth:`execute` — the service layer's plan cache is built on
         exactly this split.
@@ -743,29 +581,12 @@ class Database:
         expr = self.parse(text)
         join_strategy = "nested-loop"
         built: PlanNode | None = None
-        decision: PlanDecision | None = None
         if mode is PlanMode.AUTO:
-            if self.use_indexes and self.optimizer_enabled:
-                try:
-                    decision, built = Optimizer(self.store, self.indexes).decide(
-                        expr,
-                        self._root_tag_of(expr),
-                        columnar_available=self.columnar_enabled,
-                        grouping_forced=(
-                            self.grouping_strategy if self._grouping_forced else None
-                        ),
-                        corrections=self._feedback.corrections(text),
-                    )
-                    resolved = PlanMode(decision.chosen.mode)
-                    join_strategy = decision.chosen.join_strategy
-                except TranslationError:
-                    resolved = PlanMode.DIRECT
-            else:
-                try:
-                    built = self._build_plan(expr, rewritten=True)
-                    resolved = PlanMode.GROUPBY
-                except TranslationError:
-                    resolved = PlanMode.DIRECT
+            try:
+                built = self._build_plan(expr, rewritten=True)
+                resolved = PlanMode.GROUPBY
+            except TranslationError:
+                resolved = PlanMode.DIRECT
         elif mode is PlanMode.DIRECT:
             resolved = PlanMode.DIRECT
         else:
@@ -782,12 +603,6 @@ class Database:
             plan=built,
             join_strategy=join_strategy,
             generation=self.store.generation,
-            decision=decision,
-            stats_version=(
-                decision.stats_version
-                if decision is not None
-                else (self.statistics_version if self.use_indexes else 0)
-            ),
         )
 
     def execute(
@@ -897,7 +712,6 @@ class Database:
                 join_strategy=prepared.join_strategy,
                 profiling=profiling,
                 plan=prepared.plan,
-                decision=prepared.decision,
             )
         except TranslationError:
             # AUTO's runtime fallback: a plan that translated but hits an
@@ -993,7 +807,6 @@ class Database:
         join_strategy: str = "nested-loop",
         profiling: bool = False,
         plan: PlanNode | None = None,
-        decision: PlanDecision | None = None,
     ) -> QueryResult:
         # Snapshot before any plan building: profile totals then match
         # ``statistics`` under a fresh reset.  A prebuilt ``plan`` (the
@@ -1002,36 +815,18 @@ class Database:
         before = snapshot_counters(self.store, self.indexes) if profiling else None
         if plan is None:
             plan = self._build_plan(expr, rewritten)
-        grouping = self.grouping_strategy
-        columnar = self.columnar_enabled
-        if decision is not None:
-            # Apply the cost model's choices: grouping strategy (unless
-            # the caller forced one) and match strategy.
-            if not self._grouping_forced and decision.grouping_strategy:
-                grouping = decision.grouping_strategy
-            if decision.match_strategy == "object-walk":
-                columnar = False
         executor = PhysicalExecutor(
             self.store,
             self.indexes,
-            grouping_strategy=grouping,
+            grouping_strategy=self.grouping_strategy,
             use_indexes=self.use_indexes,
             join_strategy=join_strategy,
-            columnar=columnar,
+            columnar=self.columnar_enabled,
         )
-        if decision is not None and decision.forecasts:
-            # Lightweight per-operator cardinality log (cheaper than the
-            # full profiler) feeding the estimate-vs-actual loop.
-            executor.card_log = []
         profiler = executor.enable_profiling() if profiling else None
         started = time.perf_counter()
         collection = executor.execute(plan)
         elapsed = time.perf_counter() - started
-        if executor.card_log:
-            actuals = {
-                (op, detail): float(rows) for op, detail, rows in executor.card_log
-            }
-            self._feedback.observe(text, decision.forecasts, actuals)
         return self._finish(text, collection, mode_name, elapsed, plan, profiler, before)
 
     def _run_logical(
@@ -1052,26 +847,6 @@ class Database:
         collection = executor.execute(plan)
         elapsed = time.perf_counter() - started
         return self._finish(text, collection, mode_name, elapsed, plan, profiler, before)
-
-    # ------------------------------------------------------------------
-    # Optimizer feedback
-    # ------------------------------------------------------------------
-    def consume_feedback_flag(self, text: str) -> bool:
-        """True (once) when the last execution of ``text`` diverged from
-        its cardinality forecast beyond the feedback ratio — the signal
-        for plan caches to drop their entry so the next preparation
-        re-costs with the observed cardinalities."""
-        return self._feedback.consume_flag(text)
-
-    def feedback_corrections(self, text: str) -> dict | None:
-        """The stored per-operator cardinality corrections for ``text``
-        (``None`` when its estimates have never diverged)."""
-        return self._feedback.corrections(text)
-
-    def feedback_actuals(self, text: str) -> dict:
-        """The per-operator cardinalities observed at the last costed
-        execution of ``text``."""
-        return self._feedback.actuals(text)
 
     # ------------------------------------------------------------------
     # Lifecycle

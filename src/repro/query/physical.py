@@ -138,9 +138,6 @@ class PhysicalExecutor:
             # full-scan ablation an honest object walk.
             self.matcher.columnar = indexes.ensure_columnar()
         self.profiler = None
-        # Optional (op, detail, cardinality) log: the optimizer's
-        # estimate-vs-actual feedback loop, far cheaper than profiling.
-        self.card_log: list[tuple[str, str, int]] | None = None
 
     def enable_profiling(self):
         """Wrap every operator in a timed span; returns the profiler."""
@@ -164,20 +161,14 @@ class PhysicalExecutor:
         handler = getattr(self, f"_exec_{plan.op}", None)
         if handler is None:
             raise TranslationError(f"physical executor: unsupported op {plan.op!r}")
-        if self.profiler is None and self.card_log is None:
+        if self.profiler is None:
             return handler(plan)
         from ..observability import result_cardinality
 
         detail = plan.describe()[len(plan.op) :].strip()
-        if self.profiler is None:
-            result = handler(plan)
-            self.card_log.append((plan.op, detail, result_cardinality(result)))
-            return result
         with self.profiler.operator(plan.op, detail) as span:
             result = handler(plan)
             span.output_rows = result_cardinality(result)
-        if self.card_log is not None:
-            self.card_log.append((plan.op, detail, span.output_rows))
         return result
 
     # ------------------------------------------------------------------

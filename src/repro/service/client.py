@@ -349,8 +349,8 @@ class ServiceClient:
             spec["format"] = format
         return self.call("QUERY", spec)
 
-    def explain(self, text: str, *, verbose: bool = False) -> dict:
-        return self.call("EXPLAIN", {"q": text, "verbose": verbose})
+    def explain(self, text: str) -> dict:
+        return self.call("EXPLAIN", {"q": text})
 
     def load(self, text: str, name: str, *, chunk_chars: int = 1 << 18) -> dict:
         """Ship a document over the wire in ``LOAD`` chunks (the server

@@ -10,7 +10,7 @@ Requests (UTF-8, newline-terminated)::
     PING
     HEALTH
     QUERY {"q": "FOR $b IN ...", "plan": "groupby", "timeout": 2.5, "format": "xml"}
-    EXPLAIN {"q": "...", "verbose": true}
+    EXPLAIN {"q": "..."}
     LOAD {"name": "bib.xml", "chunk": "<bib>...", "final": true}
     STATS
     SESSION
@@ -425,9 +425,8 @@ class _Handler(socketserver.BaseRequestHandler):
             return "OK " + encode_result(outcome, format)
         if command == "EXPLAIN":
             spec = _spec(argument)
-            explanation = service.db.explain(
-                _required(spec, "q"), verbose=bool(spec.get("verbose", False))
-            )
+            # Fields beyond "q" (an older client's "verbose") are ignored.
+            explanation = service.db.explain(_required(spec, "q"))
             return "OK " + json.dumps(
                 {"text": explanation.render(), "plans": explanation.to_dict()}
             )

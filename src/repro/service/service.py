@@ -560,12 +560,7 @@ class QueryService:
         service_before = self.stats()
         prepared, fingerprint, plan_hit = self._prepared(request.text, request.plan)
         generation = self.db.store.generation
-        result_key = (
-            fingerprint,
-            prepared.resolved.value,
-            generation,
-            prepared.stats_version,
-        )
+        result_key = (fingerprint, prepared.resolved.value, generation)
         trip = dict(
             fingerprint=fingerprint,
             generation=generation,
@@ -591,13 +586,6 @@ class QueryService:
             analyze=request.analyze,
             reset_statistics=False,
         )
-        if self.db.consume_feedback_flag(request.text):
-            # The cost model's cardinality forecast diverged beyond the
-            # feedback ratio: drop the cached plan so the next request
-            # re-costs against the observed cardinalities.
-            self.plan_cache.invalidate(
-                lambda key, fp=fingerprint: key[0] == fp
-            )
         table = None
         if cacheable:
             # The cache keeps the table; the trees stay with the caller
@@ -623,15 +611,7 @@ class QueryService:
         mode = Database._coerce_plan_mode(plan)
         expr = self.db.parse(text)
         fingerprint = fingerprint_expr(expr)
-        # The statistics version participates in the key: a statistics
-        # refresh (load/compact/repair) must never serve a plan costed
-        # against the stale statistics.
-        key = (fingerprint, mode.value, self.db.statistics_version)
-        if self.db.consume_feedback_flag(text):
-            # A pending mis-estimate flag (raised by an execution whose
-            # later requests were served from the result cache): drop
-            # the plan so this request re-costs with the corrections.
-            self.plan_cache.invalidate(lambda k, fp=fingerprint: k[0] == fp)
+        key = (fingerprint, mode.value)
         entry = self.plan_cache.get(key)
         if entry is not None and entry.generation == self.db.store.generation:
             return entry, fingerprint, True

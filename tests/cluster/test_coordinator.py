@@ -217,7 +217,6 @@ def test_explain_has_cluster_section_and_local_plan(topology):
     assert "=== cluster plan ===" in text
     assert f"{shards} slice(s)" in text
     assert "merge:" in text
-    assert "shard statistics version:" in text
     payload = explanation.to_dict()
     assert payload["cluster"]["document"] == "bib.xml"
     assert len(payload["cluster"]["slices"]) == shards

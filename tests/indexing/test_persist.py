@@ -140,3 +140,52 @@ class TestDatabaseIntegration:
         save_indexes(manager, directory)
         fresh = IndexManager(store)
         assert load_indexes(fresh, directory)
+
+
+class TestLegacySnapshot:
+    """Snapshots written while a cost model still planned queries carry
+    kind-0x04 statistics records.  The reader skips them: the indexes
+    in the same file are intact, so a rebuild would be wasted work."""
+
+    @staticmethod
+    def _append_legacy_stats_record(directory: str) -> None:
+        import struct
+
+        from repro.storage.disk import DiskManager
+        from repro.storage.page import Page
+
+        # The old layout: ``kind u8 | n u16`` then n rows of
+        # ``tag_sym u32 | count u32 | distinct u32 | min_level u16 |
+        # max_level u16 | subtree_total u64``.
+        rows = [(1, 7, 3, 1, 2, 21), (2, 4, 4, 2, 2, 4)]
+        record = struct.pack(">BH", 0x04, len(rows)) + b"".join(
+            struct.pack(">IIIHHQ", *row) for row in rows
+        )
+        disk = DiskManager(os.path.join(directory, INDEX_FILE))
+        try:
+            page = Page(disk.allocate_page())
+            page.insert_record(record)
+            disk.write_page(page)
+        finally:
+            disk.close()
+
+    def test_legacy_stats_record_is_skipped_not_rebuilt(self, tmp_path, monkeypatch):
+        directory = os.path.join(tmp_path, "db")
+        with Database(directory=directory) as db:
+            db.load(tree=figure6_database(), name="bib.xml")
+            expected = db.query(QUERY_1).collection
+        self._append_legacy_stats_record(directory)
+
+        store = NodeStore(directory)
+        try:
+            assert IndexManager(store).try_load(directory)
+        finally:
+            store.close()
+
+        def no_rebuild(self):
+            raise AssertionError("a legacy snapshot must not force an index rebuild")
+
+        monkeypatch.setattr(IndexManager, "build", no_rebuild)
+        with Database(directory=directory) as db:
+            assert db.indexes._built
+            assert db.query(QUERY_1).collection.structurally_equal(expected)

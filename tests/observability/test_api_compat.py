@@ -68,13 +68,6 @@ class TestExplanation:
         assert "groupby" in ops
         assert {node["op"] for node in _walk_dict(naive)} >= {"scan", "select"}
 
-    def test_verbose_adds_optimizer_estimates(self, db):
-        explanation = db.explain(QUERY_1, verbose=True)
-        payload = explanation.to_dict()
-        assert payload["optimizer"]["winner"] in ("naive", "groupby")
-        assert payload["optimizer"]["groupby_cost"] > 0
-        assert "optimizer" in explanation
-
     def test_explain_does_not_execute(self, db):
         db.store.reset_stats()
         db.explain(QUERY_1)
@@ -90,7 +83,7 @@ class TestPositionalExplainRemoved:
             db.explain(QUERY_1, True)
 
     def test_keyword_form_does_not_warn(self, db, recwarn):
-        db.explain(QUERY_1, verbose=True)
+        db.explain(text=QUERY_1)
         assert not [w for w in recwarn if issubclass(w.category, DeprecationWarning)]
 
 

@@ -2,13 +2,13 @@
 
 For every generated query (see ``querygen.py``) the direct interpreter
 is the oracle; the harness demands identical result collections from
-every plan mode, with the columnar hot path on and off, and with the
-cost-based optimizer on and off.  A disagreement anywhere — a wrong
-cost-model choice, a collapse bug, a strategy-specific grouping defect —
-fails with the offending query attached, and (under
-``REPRO_DIFF_ARTIFACT_DIR``) written to an artifact file for CI upload.
+every plan mode, with the columnar hot path on and off.  A disagreement
+anywhere — a wrong AUTO resolution, a collapse bug, a
+strategy-specific grouping defect — fails with the offending query
+attached, and (under ``REPRO_DIFF_ARTIFACT_DIR``) written to an
+artifact file for CI upload.
 
-Environment knobs (the CI ``optimizer-differential`` job sets these):
+Environment knobs (the CI ``differential`` job sets these):
 
 * ``REPRO_DIFF_SEED`` — generator seed (default 11; CI runs 11/23/47);
 * ``REPRO_DIFF_QUERIES`` — queries per seed (default 25 locally to keep
@@ -46,14 +46,13 @@ MODES = (
 NAIVE_MODES = frozenset({"naive", "naive-hash", "logical-naive"})
 
 
-def _variants(document: str) -> dict[tuple[bool, bool], Database]:
-    """(columnar, optimizer) -> a database loaded with ``document``."""
-    variants: dict[tuple[bool, bool], Database] = {}
+def _variants(document: str) -> dict[bool, Database]:
+    """columnar on/off -> a database loaded with ``document``."""
+    variants: dict[bool, Database] = {}
     for columnar in (True, False):
-        for optimizer in (True, False):
-            db = Database(columnar=columnar, optimizer=optimizer)
-            db.load(text=document, name="bib.xml")
-            variants[(columnar, optimizer)] = db
+        db = Database(columnar=columnar)
+        db.load(text=document, name="bib.xml")
+        variants[columnar] = db
     return variants
 
 
@@ -72,17 +71,14 @@ def test_differential_identity_across_engines_and_toggles():
     generator = QueryGenerator(SEED)
     document = generator.document()
     variants = _variants(document)
-    oracle_db = variants[(True, True)]
+    oracle_db = variants[True]
     failures: list[str] = []
     checked = 0
     for query in generator.queries(N_QUERIES):
         reference = oracle_db.query(query.text, plan="direct").collection
-        for (columnar, optimizer), db in variants.items():
+        for columnar, db in variants.items():
             for mode in MODES:
-                label = (
-                    f"mode={mode} columnar={'on' if columnar else 'off'} "
-                    f"optimizer={'on' if optimizer else 'off'}"
-                )
+                label = f"mode={mode} columnar={'on' if columnar else 'off'}"
                 try:
                     got = db.query(query.text, plan=mode).collection
                 except TranslationError:

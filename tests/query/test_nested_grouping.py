@@ -54,8 +54,8 @@ class TestEngineRoute:
     def test_structure(self, inst_db):
         result = inst_db.query(NESTED_QUERY, plan="auto")
         # Join-graph isolation collapses the 3-level nesting into one
-        # single-block grouping plan (PR 8); direct is the fallback only
-        # when the optimizer is off and the collapse cannot apply.
+        # single-block grouping plan; direct is the fallback only when
+        # the collapse cannot apply.
         assert result.plan_mode == "groupby"
         got = {}
         for tree in result.collection:

@@ -358,7 +358,7 @@ class TestDecoratedReturnRefused:
     def test_family_still_plans_as_groupby(self, db):
         """Inter-item whitespace is not content: the paper's queries
         (written across lines) keep their GROUPBY plans."""
-        from tests.query.test_optimizer import E4_NESTED
+        from tests.query.test_plan_rule import E4_NESTED
 
         for text in (QUERY_1, QUERY_2, QUERY_COUNT, E4_NESTED):
             assert db.query(text, plan="auto").plan_mode == "groupby"

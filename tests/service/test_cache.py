@@ -164,55 +164,29 @@ def test_fingerprint_unifies_formatting_variants(loaded_db):
 
 
 # ----------------------------------------------------------------------
-# Statistics-version keying (the cost-based optimizer's cache contract)
+# Data-generation keying
 # ----------------------------------------------------------------------
-def test_plan_cache_key_includes_statistics_version():
-    """A plan costed against one statistics version must never serve a
-    query after the statistics changed: load → query → load more →
-    the same text re-plans under the new version."""
+def test_plan_cache_replans_after_load():
+    """A plan prepared against one data generation never serves a query
+    after the data changed: load → query → load more → the same text
+    re-plans, and the fresh entry carries the new generation."""
+    from repro.service.fingerprint import fingerprint_text
+
     db = Database()
     db.load(tree=generate_dblp(DBLPConfig(n_articles=30, n_authors=10, seed=5)), name="bib.xml")
     with QueryService(db, ServiceConfig(workers=1)) as service:
-        version = db.statistics_version
+        generation = db.data_generation
         service.query(QUERY_1)
         assert service.query(QUERY_1).plan_cached
-        assert all(key[2] == version for key in service.plan_cache.keys())
+        key = (fingerprint_text(QUERY_1), "auto")
+        assert service.plan_cache.peek(key).generation == generation
 
         service.load_tree(
             generate_dblp(DBLPConfig(n_articles=5, n_authors=3, seed=11)), "extra.xml"
         )
-        refreshed = db.statistics_version
-        assert refreshed > version
+        assert db.data_generation > generation
         after = service.query(QUERY_1)
-        assert not after.plan_cached  # re-planned against fresh statistics
+        assert not after.plan_cached  # re-planned against the new data
         assert not after.cached
-        from repro.service.fingerprint import fingerprint_text
-
-        assert (fingerprint_text(QUERY_1), "auto", refreshed) in service.plan_cache
-
-
-def test_feedback_flag_drops_plan_cache_entry():
-    """A plan flagged by the estimate-vs-actual feedback loop is evicted
-    so the next request re-costs it with the stored corrections."""
-    from repro.query.optimizer import OperatorForecast
-
-    db = Database()
-    db.load(tree=generate_dblp(DBLPConfig(n_articles=30, n_authors=10, seed=5)), name="bib.xml")
-    with QueryService(db, ServiceConfig(workers=1)) as service:
-        service.query(QUERY_1)
-        assert service.query(QUERY_1).plan_cached
-
-        # Force a divergence observation for this query text.
-        actuals = db.feedback_actuals(QUERY_1)
-        inflated = [
-            OperatorForecast(op=op, detail=detail, est_rows=value * 100.0, est_cost=0.0)
-            for (op, detail), value in actuals.items()
-        ]
-        assert db._feedback.observe(QUERY_1, inflated, actuals)
-
-        recosted = service.query(QUERY_1)
-        assert not recosted.plan_cached  # the flagged entry was dropped
-        assert_collections_equal(
-            recosted.collection, service.query(QUERY_1, plan="direct").collection
-        )
-        assert service.query(QUERY_1).plan_cached  # re-costed plan sticks
+        assert after.generation == db.data_generation
+        assert service.plan_cache.peek(key).generation == db.data_generation

@@ -97,6 +97,12 @@ def test_explain(client):
     assert "plans" in payload
 
 
+def test_explain_ignores_an_older_clients_verbose_field(client):
+    plain = client.ok("EXPLAIN " + json.dumps({"q": QUERY_1}))
+    older = client.ok("EXPLAIN " + json.dumps({"q": QUERY_1, "verbose": True}))
+    assert older == plain
+
+
 def test_stats_and_session(client):
     client.ok("QUERY " + json.dumps({"q": QUERY_1}))
     stats = client.ok("STATS")

@@ -50,12 +50,6 @@ class TestQuery:
         assert "naive (join) plan" in out
         assert "GROUPBY" in out
 
-    def test_explain_verbose(self, bib_file, capsys):
-        assert main(["explain", bib_file, "--verbose"]) == 0
-        out = capsys.readouterr().out
-        assert "optimizer" in out
-        assert "rows" in out
-
     def test_info(self, bib_file, capsys):
         assert main(["info", bib_file]) == 0
         out = capsys.readouterr().out

@@ -15,7 +15,6 @@ FAST_EXAMPLES = [
     "institution_grouping.py",
     "nested_grouping.py",
     "persistent_store.py",
-    "optimizer_tour.py",
 ]
 
 
