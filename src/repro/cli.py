@@ -7,7 +7,6 @@ Subcommands::
     timber-py query db.xml --plan groupby --query-file q.xq --timeout 5
     timber-py explain db.xml --query-file q.xq
     timber-py serve db.xml --port 8491 --workers 8 --drain-seconds 5
-    timber-py experiment e1|e2|e3|a1|a2|a3 [--articles N --authors M] [--record PATH]
 
 Exit codes: 0 success, 1 failure (e.g. verify found damage), 2 query
 deadline exceeded (``--timeout``), 3 a ``serve`` drain that had to
@@ -23,16 +22,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bench import (
-    format_report,
-    format_scaling,
-    run_ablation_buffer_pool,
-    run_ablation_grouping_strategies,
-    run_ablation_match_strategies,
-    run_experiment1,
-    run_experiment2,
-    run_scaling,
-)
 from .datagen.dblp import DBLPConfig, generate_dblp
 from .datagen.sample import QUERY_1
 from .errors import QueryTimeoutError
@@ -191,17 +180,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     cluster.add_argument(
         "--query-file", help="file with the XQuery text (default: Query 1)"
-    )
-
-    experiment = commands.add_parser("experiment", help="run a paper experiment")
-    experiment.add_argument(
-        "which", choices=("e1", "e2", "e3", "a1", "a2", "a3"), help="experiment id"
-    )
-    _add_config_args(experiment)
-    experiment.add_argument(
-        "--record",
-        metavar="PATH",
-        help="also write the run's benchmark trajectory (JSON) to PATH",
     )
 
     args = parser.parse_args(argv)
@@ -363,37 +341,7 @@ def main(argv: list[str] | None = None) -> int:
             db.close()
         return 0 if report.clean else 3
 
-    if args.command == "cluster":
-        return _run_cluster_demo(args)
-
-    from .bench import report_chart
-
-    config = _config_from(args)
-    if args.which == "e1":
-        report = run_experiment1(config)
-        print(format_report(report, "E1"))
-        print()
-        print(report_chart(report))
-    elif args.which == "e2":
-        report = run_experiment2(config)
-        print(format_report(report, "E2"))
-        print()
-        print(report_chart(report))
-    elif args.which == "e3":
-        print(format_scaling(run_scaling(base=config)))
-    elif args.which == "a1":
-        print(format_report(run_ablation_match_strategies(config)))
-    elif args.which == "a2":
-        print(format_report(run_ablation_grouping_strategies(config)))
-    else:
-        print(format_report(run_ablation_buffer_pool(config)))
-    if args.record:
-        from .bench.trajectory import write_trajectory
-
-        written = write_trajectory(args.record)
-        if written is not None:
-            print(f"trajectory written to {written}", file=sys.stderr)
-    return 0
+    return _run_cluster_demo(args)  # "cluster", the last subcommand
 
 
 def _run_cluster_demo(args: argparse.Namespace) -> int:

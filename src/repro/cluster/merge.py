@@ -62,6 +62,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from ..core.aggregation import render_number
+from ..core.base import atomic_value_of
 from ..errors import ClusterMergeError
 from ..query.ast import (
     AggregateCall,
@@ -88,6 +89,7 @@ from ..query.template import (
     TemplateLeaf,
     aggregate_text,
     fill_template,
+    sort_items,
 )
 from ..xmlmodel.node import XMLNode
 
@@ -383,18 +385,11 @@ def atomize(node: XMLNode) -> str:
     return "".join(n.content or "" for n in node.iter())
 
 
-def _stored_value(node: XMLNode) -> str:
-    """``Interpreter._atomize`` of a *stored* node (what a path or
-    ``distinct-values`` yields): its own content when it has any, the
-    subtree string otherwise."""
-    return node.content if node.content is not None else atomize(node)
-
-
 def _key_value(wrapper: XMLNode) -> str:
     """The value ``distinct-values`` compared: ``<zk>`` holds the group
     variable's one binding, a stored node or an atomic string."""
     if wrapper.children:
-        return _stored_value(wrapper.children[0])
+        return atomic_value_of(wrapper.children[0])
     return wrapper.content or ""
 
 
@@ -459,7 +454,9 @@ def _resolver(plan: MergePlan):
                 return " ".join(texts)
             nodes = [child for row in rows if tag in row for child in row[tag].children]
             if leaf.ordering:
-                value = atomize if tag in plan.built else _stored_value
+                # A stored node (what a path yields) atomizes to its own
+                # content when it has any, the subtree string otherwise.
+                value = atomize if tag in plan.built else atomic_value_of
                 nodes = apply_sortby(nodes, leaf.ordering, value)
             return nodes
         if leaf.kind == "avg":
@@ -480,26 +477,14 @@ def _resolver(plan: MergePlan):
 def apply_sortby(
     rows: list[XMLNode], ordering: Ordering, value=atomize
 ) -> list[XMLNode]:
-    """The interpreter's 2001-era SORTBY: stable sort, rightmost key
-    first so the leftmost is primary.  ``value`` atomizes a sort node —
-    constructed nodes (merged rows) by default."""
-    if not ordering:
-        return rows
-    from ..core.base import numeric_or_text
+    """The interpreter's SORTBY over merged nodes.  ``value`` atomizes a
+    sort node — constructed nodes (merged rows) by default."""
 
-    ordered = list(rows)
-    for path, direction in reversed(ordering):
-        ordered.sort(
-            key=lambda row: numeric_or_text(_sort_value(row, path, value)),
-            reverse=direction == "DESCENDING",
-        )
-    return ordered
+    def value_at(node: XMLNode, path: tuple[str, ...]) -> str:
+        nodes = [node]
+        if path != (".",):
+            for name in path:
+                nodes = [child for n in nodes for child in n.findall(name)]
+        return value(nodes[0]) if nodes else ""
 
-
-def _sort_value(node: XMLNode, path: tuple[str, ...], value) -> str:
-    if path == (".",):
-        return value(node)
-    nodes = [node]
-    for name in path:
-        nodes = [child for n in nodes for child in n.findall(name)]
-    return value(nodes[0]) if nodes else ""
+    return sort_items(rows, ordering, value_at)

@@ -313,19 +313,10 @@ class IndexManager:
         self.tag_index.check_invariants()
         self.value_index.check_invariants()
 
-    def statistics(self) -> dict[str, int]:
-        return {
-            "tag_index_lookups": self.tag_index.lookups,
-            "value_index_lookups": self.value_index.lookups,
-            "tag_index_postings": self.tag_index.total_postings(),
-            "value_index_keys": self.value_index.n_keys(),
-        }
-
     def work_counters(self) -> dict[str, int]:
         """Work done against the indexes: lookup calls plus the lengths
-        of the candidate streams they served.  Unlike :meth:`statistics`
-        this excludes size gauges, so two snapshots subtract to a
-        meaningful delta."""
+        of the candidate streams they served.  No size gauges, so two
+        snapshots subtract to a meaningful delta."""
         return {
             "tag_index_lookups": self.tag_index.lookups,
             "value_index_lookups": self.value_index.lookups,

@@ -758,7 +758,7 @@ class Database:
         profiler,
         before: CounterSnapshot | None,
     ) -> QueryResult:
-        statistics = self.store.statistics()
+        statistics = self.store.stats().as_dict()
         profile: ExecutionProfile | None = None
         if profiler is not None and profiler.roots:
             totals = snapshot_counters(self.store, self.indexes) - before

@@ -40,6 +40,7 @@ from .ast import (
     TextItem,
     VarRef,
 )
+from .template import sort_items
 
 Item = object  # int (nid) | str | XMLNode
 Sequence = list
@@ -153,17 +154,8 @@ class Interpreter:
         return results
 
     def _apply_sortby(self, items: Sequence, sortby) -> Sequence:
-        """2001-era SORTBY: stable sort of the result sequence, rightmost
-        key applied first so the leftmost is primary."""
-        from ..core.base import numeric_or_text
-
-        ordered = list(items)
-        for key in reversed(sortby):
-            ordered.sort(
-                key=lambda item: numeric_or_text(self._sort_value(item, key.path)),
-                reverse=key.direction == "DESCENDING",
-            )
-        return ordered
+        ordering = tuple((key.path, key.direction) for key in sortby)
+        return sort_items(items, ordering, self._sort_value)
 
     def _sort_value(self, item: Item, path: tuple[str, ...]) -> str:
         if path == (".",):

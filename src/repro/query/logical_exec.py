@@ -28,11 +28,11 @@ from ..xmlmodel.node import XMLNode
 from ..xmlmodel.tree import Collection, DataTree
 from .plan import NestedGroupSpec, PlanNode, StitchSpec
 from .template import (
-    Ordering,
     OutputTemplate,
     TemplateLeaf,
     aggregate_text,
     fill_template,
+    sort_items,
 )
 
 
@@ -115,9 +115,9 @@ class LogicalExecutor:
         return operator.apply(left, right)
 
     def _exec_groupby(self, plan: PlanNode) -> Collection:
-        # The ordering list is applied where the members are projected
-        # (``_build_return_element``): the sorted member list orders its
-        # own copy, every other template leaf keeps document order.
+        # SORTBY is applied where the members are projected
+        # (``_build_return_element``): a sorted member list sorts the
+        # items it emits.
         operator = GroupBy(plan.params["pattern"], plan.params["basis"])
         return operator.apply(self.execute(plan.child))
 
@@ -302,8 +302,8 @@ def _build_return_element(
     counts the output-path nodes reached across members (an article
     without a title contributes nothing — XQuery ``count($t)``
     semantics); the numeric aggregates apply to those nodes' values.
-    ``members`` arrive in document order; a sorted member list orders
-    its own copy.
+    ``members`` arrive in document order; a sorted member list sorts
+    the items it emits.
     """
     return fill_template(template, _resolve_leaf, (group_node, members)).build()
 
@@ -313,13 +313,11 @@ def _resolve_leaf(leaf: TemplateLeaf, group: tuple[XMLNode, list[XMLNode]]):
     group_node, members = group
     if leaf.kind == "key":
         return [group_node.deep_copy()]
-    reached = [
-        target
-        for member in _order_members(members, leaf.ordering)
-        for target in _navigate(member, leaf.path)
-    ]
+    reached = [target for member in members for target in _navigate(member, leaf.path)]
     if leaf.kind == "members":
-        return [target.deep_copy() for target in reached]
+        return [
+            target.deep_copy() for target in sort_items(reached, leaf.ordering, _value_at)
+        ]
     if leaf.kind == "count":
         return aggregate_text("count", reached)
     return aggregate_text(leaf.kind, [atomic_value_of(node) for node in reached])
@@ -332,22 +330,7 @@ def _navigate(node: XMLNode, path: tuple[str, ...]) -> list[XMLNode]:
     return frontier
 
 
-def _order_members(members: list[XMLNode], ordering: Ordering) -> list[XMLNode]:
-    """SORTBY member ordering (stable, leftmost key primary)."""
-    from ..core.base import numeric_or_text
-
-    if not ordering:
-        return members
-
-    def value_at(member: XMLNode, path: tuple[str, ...]) -> str:
-        nodes = _navigate(member, path)
-        return atomic_value_of(nodes[0]) if nodes else ""
-
-    ordered = members
-    for path, direction in reversed(ordering):
-        ordered = sorted(
-            ordered,
-            key=lambda member: numeric_or_text(value_at(member, path)),
-            reverse=direction == "DESCENDING",
-        )
-    return list(ordered)
+def _value_at(node: XMLNode, path: tuple[str, ...]) -> str:
+    """A SORTBY key: the first node ``path`` reaches, atomized."""
+    nodes = [node] if path == (".",) else _navigate(node, path)
+    return atomic_value_of(nodes[0]) if nodes else ""

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from ..cancellation import checkpoint
+from ..core.base import atomic_value_of
 from ..errors import TranslationError
 from ..indexing.labels import NodeLabel
 from ..indexing.manager import IndexManager
@@ -52,6 +53,7 @@ from .template import (
     TemplateLeaf,
     aggregate_text,
     fill_template,
+    sort_items,
 )
 
 
@@ -346,7 +348,7 @@ class PhysicalExecutor:
         if self.grouping_strategy == "replicate":
             return self._group_by_replication(pattern, basis_label, witnesses)
         if self.grouping_strategy == "value-index":
-            return self._group_by_value_index(plan, pattern, basis_label, witnesses)
+            return self._group_by_value_index(pattern, basis_label, witnesses)
 
         # Populate only the grouping-basis values.
         keyed: list[tuple[str, int, StoreMatch]] = []
@@ -374,7 +376,6 @@ class PhysicalExecutor:
         ordered_values = sorted(groups, key=lambda value: groups[value][0][0])
         result = GroupedSet(pattern, basis_label)
         root_label = pattern.root.label
-        sort_keys = self._sort_keys(witnesses, plan.params.get("ordering"), root_label)
         for value in ordered_values:
             members: list[StoreMatch] = []
             seen_sources: set[int] = set()
@@ -385,57 +386,9 @@ class PhysicalExecutor:
                 seen_sources.add(source_nid)
                 members.append(match)
             # The exemplar (the ``{$g}`` rep) is the first witness in
-            # document order — SORTBY only reorders the members.
-            exemplar = members[0]
-            members = self._order_members(members, sort_keys, root_label)
-            result.groups.append((value, exemplar, members))
+            # document order.
+            result.groups.append((value, members[0], members))
         return result
-
-    def _sort_keys(
-        self,
-        witnesses: list[StoreMatch],
-        ordering: list[tuple[tuple[str, ...], str]] | None,
-        root_label: str,
-    ) -> list[tuple[dict[int, object], bool]]:
-        """Resolve the GROUPBY ordering list for every member at once:
-        one label-only path descent per sort path, then one value
-        lookup per member (Sec. 5.3: "we populate only the grouping
-        (and sorting) list values").  Each entry maps member nid to its
-        sort key, with the descending flag.  Paths are resolved from
-        the member root; a member lacking the sort path sorts as the
-        empty string rather than being excluded."""
-        from ..core.base import numeric_or_text
-
-        if not ordering:
-            return []
-        members = self._member_labels(witnesses, root_label)
-        keys: list[tuple[dict[int, object], bool]] = []
-        for path, direction in ordering:
-            reached = self._descend(members, path)
-            values = {
-                nid: numeric_or_text(
-                    (self.store.content(labels[0].nid) or "") if labels else ""
-                )
-                for nid, labels in reached.items()
-            }
-            keys.append((values, direction == "DESCENDING"))
-        return keys
-
-    def _order_members(
-        self,
-        members: list[StoreMatch],
-        sort_keys: list[tuple[dict[int, object], bool]],
-        root_label: str,
-    ) -> list[StoreMatch]:
-        """Sort stably by the resolved keys, leftmost key primary."""
-        ordered = members
-        for values, descending in reversed(sort_keys):
-            ordered = sorted(
-                ordered,
-                key=lambda match: values[match.nid(root_label)],
-                reverse=descending,
-            )
-        return list(ordered)
 
     def _member_labels(
         self, matches: Iterable[StoreMatch], root_label: str
@@ -458,7 +411,6 @@ class PhysicalExecutor:
 
     def _group_by_value_index(
         self,
-        plan: PlanNode,
         pattern: PatternTree,
         basis_label: str,
         witnesses: list[StoreMatch],
@@ -484,7 +436,6 @@ class PhysicalExecutor:
             by_basis_nid.setdefault(match.nid(basis_label), []).append((index, match))
 
         root_label = pattern.root.label
-        sort_keys = self._sort_keys(witnesses, plan.params.get("ordering"), root_label)
         staged: list[tuple[int, str, list[StoreMatch]]] = []
         for value, postings in self.indexes.distinct_values(basis_tag):
             collected: list[tuple[int, StoreMatch]] = []
@@ -505,9 +456,7 @@ class PhysicalExecutor:
                     continue
                 seen_sources.add(source_nid)
                 members.append(match)
-            exemplar = members[0]  # doc-order rep, before SORTBY ordering
-            members = self._order_members(members, sort_keys, root_label)
-            staged.append((collected[0][0], value, exemplar, members))
+            staged.append((collected[0][0], value, members[0], members))
 
         # First-appearance order, like every other strategy.
         staged.sort(key=lambda entry: entry[0])
@@ -594,9 +543,7 @@ class PhysicalExecutor:
                 return [self._materialize_binding(exemplar, source.left_label)]
             reached = [
                 target
-                for match in self._order_joined(
-                    members, source.right_label, leaf.ordering
-                )
+                for match in members
                 for target in self._navigate_nids(
                     match.nid(source.right_label), leaf.path
                 )
@@ -604,7 +551,7 @@ class PhysicalExecutor:
             if leaf.kind == "members":
                 return [
                     self.store.materialize(target, with_content=True)
-                    for target in reached
+                    for target in self._sorted(reached, leaf.ordering)
                 ]
             return self._aggregate_text(leaf.kind, reached)
 
@@ -636,28 +583,25 @@ class PhysicalExecutor:
             function, [self.store.content(nid) or "" for nid in reached]
         )
 
-    def _order_joined(
-        self, members: list[StoreMatch], inner_label: str, ordering: Ordering
-    ) -> list[StoreMatch]:
-        """Member ordering for the naive plan's stitch (SORTBY)."""
-        from ..core.base import numeric_or_text
+    def _sorted(self, nids: list[int], ordering: Ordering) -> list[int]:
+        """A member list's SORTBY over the nodes it emits: each key is
+        the first node the key path reaches below the item, atomized
+        as the direct interpreter atomizes it."""
+        if not ordering:
+            return nids
 
-        ordered = members
-        for path, direction in reversed(ordering):
-            ordered = sorted(
-                ordered,
-                key=lambda match: numeric_or_text(
-                    self._navigated_value(match.nid(inner_label), path)
-                ),
-                reverse=direction == "DESCENDING",
-            )
-        return ordered
+        def value_at(nid: int, path: tuple[str, ...]) -> str:
+            if path != (".",):
+                reached = self._navigate_nids(nid, path)
+                if not reached:
+                    return ""
+                nid = reached[0]
+            content = self.store.content(nid)
+            if content is None:
+                return atomic_value_of(self.store.materialize(nid, with_content=True))
+            return content
 
-    def _navigated_value(self, nid: int, path: tuple[str, ...]) -> str:
-        frontier = self._navigate_nids(nid, path)
-        if not frontier:
-            return ""
-        return self.store.content(frontier[0]) or ""
+        return sort_items(nids, ordering, value_at)
 
     def _exec_project_groups(self, plan: PlanNode) -> Collection:
         source = self._run(plan.inputs[0])
@@ -764,8 +708,9 @@ class PhysicalExecutor:
 
         Every member path of ``template`` is resolved up front for all
         members of all groups — one descent per distinct path, however
-        many leaves share it (members in the leaf's order, each
-        member's targets in document order).  Identifier-only: COUNT
+        many leaves share it (members and each member's targets in
+        document order; a sorted list then sorts what it emits).
+        Identifier-only: COUNT
         then never touches a page ("we can perform the count without
         physically instantiating the book elements"), the numeric
         aggregates fetch only the reached nodes' values, and values
@@ -778,18 +723,11 @@ class PhysicalExecutor:
         reached = {
             path: self._descend(member_labels, path) for path in template.paths()
         }
-        # GROUPBY ordered the members for the sorted member list; every
-        # other leaf ranges over them in document order.
-        resorted = bool(template.ordering)
 
         def resolve(leaf: TemplateLeaf, group: tuple[int, list[StoreMatch]]):
             group_nid, members = group
             if leaf.kind == "key":
                 return [group_nid]
-            if resorted and not leaf.ordering:
-                members = sorted(
-                    members, key=lambda match: match.bindings[root_label].start
-                )
             by_member = reached[leaf.path]
             nids = [
                 label.nid
@@ -797,7 +735,7 @@ class PhysicalExecutor:
                 for label in by_member[match.nid(root_label)]
             ]
             if leaf.kind == "members":
-                return nids
+                return self._sorted(nids, leaf.ordering)
             return self._aggregate_text(leaf.kind, nids)
 
         return resolve

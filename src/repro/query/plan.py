@@ -20,7 +20,7 @@ op                        params
 ``dupelim``               ``pattern``, ``label`` (content key) or neither
 ``left_outer_join``       ``left_pattern``, ``right_pattern``, ``conditions``,
                           ``sl`` — Fig. 4.b's join-plan pattern, split by side
-``groupby``               ``pattern``, ``basis``, ``ordering``
+``groupby``               ``pattern``, ``basis``
 ``aggregate``             ``pattern``, ``function``, ``source_label``,
                           ``new_tag``, ``update``
 ``project_groups``        ``template`` (:class:`~repro.query.template.OutputTemplate`)
@@ -177,17 +177,8 @@ def left_outer_join(
     )
 
 
-def groupby(
-    child: PlanNode,
-    pattern,
-    basis: list[str],
-    ordering: list[tuple[tuple[str, ...], str]],
-) -> PlanNode:
-    return PlanNode(
-        "groupby",
-        {"pattern": pattern, "basis": list(basis), "ordering": list(ordering)},
-        [child],
-    )
+def groupby(child: PlanNode, pattern, basis: list[str]) -> PlanNode:
+    return PlanNode("groupby", {"pattern": pattern, "basis": list(basis)}, [child])
 
 
 def aggregate(
@@ -240,7 +231,7 @@ _SUMMARIZERS: dict[str, Callable[[dict], str]] = {
         f"L={_fmt_pattern(p['left_pattern'])} R={_fmt_pattern(p['right_pattern'])} "
         f"on {p['conditions']}"
     ),
-    "groupby": lambda p: f"basis={p['basis']} order={p['ordering']}",
+    "groupby": lambda p: f"basis={p['basis']}",
     "aggregate": lambda p: f"{p['new_tag']}={p['function']}({p['source_label']})",
     "project_groups": lambda p: f"-> {p['template'].render()}",
     "nested_groups": lambda p: (

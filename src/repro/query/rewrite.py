@@ -17,8 +17,9 @@ and replace it with a single-block GROUPBY plan.
    of inner (article) trees, entire subtrees kept (Fig. 9);
 2. the GROUPBY input pattern tree (Fig. 5.b) is the subtree of the
    inner pattern rooted at the grouped element; the grouping basis is
-   the join value ($2.content); the ordering list comes from the inner
-   sort spec (empty for Query 1);
+   the join value ($2.content).  The ordering list stays empty: an inner
+   SORTBY sorts the items the final projection emits (one member may
+   emit several), so it rides on its RETURN template leaf;
 3. GROUPBY is applied, producing the intermediate group trees (Fig. 10);
 4. a final projection extracts the output nodes (Fig. 5.d) — fused here
    with the construction of the RETURN element;
@@ -44,7 +45,6 @@ from .plan import (
     scan,
     select,
 )
-from .template import Ordering
 from .translate import (
     INNER_LABEL,
     JOIN_VALUE_LABEL,
@@ -200,12 +200,12 @@ def groupby_pattern(
 ) -> PatternTree:
     """Fig. 5.b: the grouped element with the pc chain to the join value.
 
-    SORTBY ordering values are *not* pattern chains: a required chain
-    would exclude members lacking the sort path (e.g. an article with no
+    SORTBY values are *not* pattern chains: a required chain would
+    exclude members lacking the sort path (e.g. an article with no
     ``year`` under ``SORTBY($b/year)``) and silently drop their groups.
-    Ordering travels as (path, direction) pairs on the groupby node and
-    is resolved by navigation at materialization — missing paths sort as
-    the empty string, matching the direct interpreter.
+    The sorted template leaf resolves them by navigation from each
+    emitted item — missing paths sort as the empty string, matching the
+    direct interpreter.
     """
     root = PatternNode(GROUP_ROOT, TagEquals(inner_tag))
     current = root
@@ -221,7 +221,6 @@ def grouping_segment(
     root_tag: str,
     inner_tag: str,
     condition_path: tuple[str, ...],
-    ordering: Ordering,
     filter_chains: tuple[PatternNode, ...],
 ) -> PlanNode:
     """Phase-2 steps 1–3: select + project the inner elements, then
@@ -238,14 +237,7 @@ def grouping_segment(
     # The basis is starred: the final projection (Fig. 5.d) lists the
     # grouping element as ``$4*`` — its whole subtree appears in the
     # output, exactly what ``{$a}`` returns.
-    return groupby(
-        projected,
-        p_group,
-        basis=[GROUP_VALUE + "*"],
-        # (path from the grouped element, direction) pairs, navigated
-        # per member at materialization.
-        ordering=list(ordering),
-    )
+    return groupby(projected, p_group, basis=[GROUP_VALUE + "*"])
 
 
 def rewrite(plan: PlanNode) -> PlanNode:
@@ -258,7 +250,6 @@ def rewrite(plan: PlanNode) -> PlanNode:
         detected.root_tag,
         detected.inner_tag,
         detected.condition_path,
-        template.ordering,
         detected.filter_chains,
     )
     # Steps 4–5: one GROUPBY feeds every leaf of the RETURN template.
@@ -307,7 +298,6 @@ def collapse_nested(query: NestedGroupingQuery, root_tag: str) -> PlanNode:
         root_tag,
         inner.inner_tag,
         inner.condition_path,
-        inner.ordering,
         _filter_chains_for(inner),
     )
     spec = NestedGroupSpec(

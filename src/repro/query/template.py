@@ -20,10 +20,12 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Union
 
 from ..core.aggregation import AggregateFunction
+from ..core.base import numeric_or_text
 from ..xmlmodel.node import XMLNode
 from .ast import ElementConstructor, Expr, TextItem
 
-#: ``(path from the grouped element, direction)`` pairs, leftmost primary.
+#: SORTBY keys: ``(path from the returned item, direction)`` pairs,
+#: leftmost primary; the path ``(".",)`` is the item itself.
 Ordering = tuple[tuple[tuple[str, ...], str], ...]
 
 
@@ -36,16 +38,15 @@ class TemplateLeaf:
     * ``key`` — the group variable itself (``{$g}``): the grouping
       element with its whole subtree (Fig. 5.d stars it);
     * ``members`` — per member of the group, the nodes ``path`` reaches
-      below it, members in document order or by ``ordering`` (SORTBY);
+      below it, in document order, then sorted by ``ordering`` (SORTBY);
     * ``count`` / ``sum`` / ``min`` / ``max`` / ``avg`` — that function
       over the nodes ``path`` reaches across the group's members;
     * ``groups`` — (outer level of a 3-level nest only) the middle
       level's group elements.
 
     In a cluster merge plan (:mod:`repro.cluster.merge`) the same kinds
-    are merge operators over shard rows, ``path`` names the shard-row
-    wrappers a leaf reads, and ``ordering`` paths start at the returned
-    item.
+    are merge operators over shard rows and ``path`` names the shard-row
+    wrappers a leaf reads.
     """
 
     kind: str
@@ -110,15 +111,6 @@ class OutputTemplate:
         """The distinct member paths, in first-use order — one path
         descent each, however many leaves share it."""
         return list(dict.fromkeys(leaf.path for leaf in self.member_leaves()))
-
-    @property
-    def ordering(self) -> Ordering:
-        """The GROUPBY ordering list: the SORTBY of the (at most one)
-        sorted member list — Sec. 4.1: "only if sorting was requested"."""
-        for leaf in self.leaves():
-            if leaf.ordering:
-                return leaf.ordering
-        return ()
 
     def render(self) -> str:
         attrs = "".join(f' {name}="{value}"' for name, value in self.attributes)
@@ -192,6 +184,24 @@ def fill_template(
     return OutputShell(
         template.tag, items, " ".join(texts) if texts else None, template.attributes
     )
+
+
+def sort_items(
+    items: list, ordering: Ordering, value_at: Callable[[object, tuple[str, ...]], str]
+) -> list:
+    """SORTBY as the 2001 XQuery draft defines it: a stable sort of the
+    returned sequence itself, rightmost key first so the leftmost is
+    primary.  ``value_at(item, path)`` is an item's sort value at a key
+    path (``(".",)``: the item's own).  Every evaluator sorts through
+    here, so a member contributing several items sorts each on its own
+    value."""
+    ordered = list(items)
+    for path, direction in reversed(ordering):
+        ordered.sort(
+            key=lambda item: numeric_or_text(value_at(item, path)),
+            reverse=direction == "DESCENDING",
+        )
+    return ordered
 
 
 def aggregate_text(function: str, values: list[str]) -> str | None:

@@ -87,12 +87,6 @@ class GroupingQuery:
     # predicates on the selection pattern trees.
     filters: tuple[tuple[tuple[str, ...], str, str], ...] = ()
 
-    @property
-    def ordering(self) -> Ordering:
-        """Ordering requested via SORTBY — becomes the GROUPBY ordering
-        list."""
-        return self.template.ordering
-
 
 @dataclass(frozen=True)
 class NestedGroupingQuery:
@@ -266,9 +260,6 @@ def _checked_template(
         raise TranslationError(
             "RETURN has no member list or aggregate over the grouped elements"
         )
-    if sum(1 for leaf in template.leaves() if leaf.ordering) > 1:
-        # One GROUPBY has one ordering list.
-        raise TranslationError("at most one RETURN item may carry a SORTBY")
     return template
 
 
@@ -301,7 +292,7 @@ def _recognize_nested(expr: FLWR, outer_var: str, doc: str, group_tag: str) -> G
             )
         patterns.append(pattern)
         path = _relative_path(inner.ret, inner_for.var)
-        return TemplateLeaf(kind, path, _ordering_from_sortby(inner, path, kind))
+        return TemplateLeaf(kind, path, _ordering_from_sortby(inner, kind))
 
     template = _checked_template(_return_constructor(expr.ret), leaf_for)
     inner_tag, condition_path, filters = patterns[0]
@@ -316,20 +307,13 @@ def _recognize_nested(expr: FLWR, outer_var: str, doc: str, group_tag: str) -> G
     )
 
 
-def _ordering_from_sortby(inner: FLWR, output_path: tuple[str, ...], kind: str) -> Ordering:
-    """Translate the inner SORTBY keys to paths from the inner element.
-
-    A ``.`` key sorts by the returned value itself (the output path);
-    other keys are relative to the returned node.
-    """
+def _ordering_from_sortby(inner: FLWR, kind: str) -> Ordering:
+    """The inner SORTBY keys, which sort the returned items themselves."""
     if not inner.sortby:
         return ()
     if kind != "members":
         raise TranslationError("SORTBY is meaningless under an aggregate")
-    return tuple(
-        (output_path if key.path == (".",) else output_path + key.path, key.direction)
-        for key in inner.sortby
-    )
+    return tuple((key.path, key.direction) for key in inner.sortby)
 
 
 def _recognize_unnested(expr: FLWR, outer_var: str, doc: str, group_tag: str) -> GroupingQuery:

@@ -58,6 +58,7 @@ count.
 from __future__ import annotations
 
 import json
+import selectors
 import socket
 import socketserver
 import sys
@@ -597,7 +598,13 @@ class ServiceServer(socketserver.ThreadingTCPServer):
         self._registry_lock = threading.Lock()
         self._draining = False
         self._serving = threading.Event()
+        self._stop = threading.Event()
+        self._stopped = threading.Event()
         super().__init__((host, port), _Handler)
+        # shutdown() writes a byte here so the accept loop wakes at once
+        # instead of at the end of its poll interval.
+        self._wake_recv, self._wake_send = socket.socketpair()
+        self._wake_recv.setblocking(False)
 
     # ------------------------------------------------------------------
     # Connection registry
@@ -681,11 +688,42 @@ class ServiceServer(socketserver.ThreadingTCPServer):
         return self.server_address[:2]
 
     def serve_forever(self, poll_interval: float = 0.5) -> None:
+        """Accept connections until :meth:`shutdown`, which wakes the
+        loop through a socket pair instead of waiting out
+        ``poll_interval``."""
+        self._stopped.clear()
         self._serving.set()
         try:
-            super().serve_forever(poll_interval)
+            with selectors.DefaultSelector() as selector:
+                selector.register(self, selectors.EVENT_READ)
+                selector.register(self._wake_recv, selectors.EVENT_READ)
+                while not self._stop.is_set():
+                    ready = selector.select(poll_interval)
+                    if self._stop.is_set():
+                        break
+                    for key, _events in ready:
+                        if key.fileobj is self:
+                            self._handle_request_noblock()
+                        else:
+                            self._wake_recv.recv(64)  # a stale wake-up
+                    self.service_actions()
         finally:
+            self._stop.clear()
             self._serving.clear()
+            self._stopped.set()
+
+    def shutdown(self) -> None:
+        """Stop :meth:`serve_forever` and wait until it has returned.
+        Call it from another thread (as ``socketserver`` requires)."""
+        self._stop.set()
+        if self._serving.is_set():  # a loop that starts later sees _stop
+            self._wake_send.send(b"\0")
+        self._stopped.wait()
+
+    def server_close(self) -> None:
+        super().server_close()
+        self._wake_recv.close()
+        self._wake_send.close()
 
     def serve_background(self) -> threading.Thread:
         """Serve on a daemon thread (tests, embedding). ``shutdown()``

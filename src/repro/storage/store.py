@@ -894,15 +894,6 @@ class NodeStore:
         self.pool.reset_stats()
         self.disk.reset_stats()
 
-    def reset_statistics(self) -> None:
-        """Zero every counter before a measured run (alias kept for the
-        benchmark harness and existing callers)."""
-        self.reset_stats()
-
-    def statistics(self) -> dict[str, int]:
-        """All counters as a plain dict (mutable copy of :meth:`stats`)."""
-        return self.stats().as_dict()
-
     def flush(self) -> None:
         """Write dirty pages and persist metadata."""
         self.pool.flush_all()

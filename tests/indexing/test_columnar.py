@@ -382,3 +382,7 @@ class TestStructuralIdentity:
         got = columnar_db.query(query, plan=plan)
         want = fallback_db.query(query, plan=plan)
         assert diff_collections(got.collection, want.collection) is None
+
+    def test_explain_reports_the_match_strategy(self, columnar_db, fallback_db):
+        assert "structural match: columnar" in columnar_db.explain(QUERY_1).render()
+        assert "structural match: object-walk" in fallback_db.explain(QUERY_1).render()

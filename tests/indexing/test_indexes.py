@@ -154,6 +154,6 @@ class TestIndexManager:
 
     def test_statistics_keys(self, indexes):
         indexes.labels_for_tag("author")
-        stats = indexes.statistics()
+        stats = indexes.work_counters()
         assert stats["tag_index_lookups"] >= 1
-        assert stats["tag_index_postings"] > 0
+        assert stats["index_postings_served"] > 0

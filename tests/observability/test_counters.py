@@ -120,11 +120,3 @@ class TestStatsSnapshots:
         lookups = frozen["record_lookups"]
         db.query(QUERY_1, plan="groupby", reset_statistics=False)
         assert frozen["record_lookups"] == lookups
-
-    def test_legacy_statistics_aliases_still_work(self, db):
-        db.query(QUERY_1, plan="groupby", reset_statistics=False)
-        as_dict = db.store.statistics()
-        assert isinstance(as_dict, dict)
-        assert as_dict["record_lookups"] > 0
-        db.store.reset_statistics()
-        assert db.store.statistics()["record_lookups"] == 0

@@ -126,9 +126,9 @@ class QueryGenerator:
             translatable=translatable,
         )
 
-    def _item(self, where: str, sortable: bool, modes) -> tuple[str, str, bool]:
+    def _item(self, where: str, sortable: bool, modes) -> tuple[str, str]:
         """One embedded RETURN item over the join-plan pattern ``where``
-        selects: ``(text, mode, carries a SORTBY)``."""
+        selects: ``(text, mode)``."""
         rng = self.rng
         mode = rng.choice(modes)
         if mode in ("sum", "min", "max", "avg"):
@@ -142,21 +142,15 @@ class QueryGenerator:
             f"{where}\n"
             f"RETURN $b/{output}"
         )
-        # SORTBY orders the returned items; the plans order members by
-        # their first reached value — the same thing only where a member
-        # contributes at most one item, so the multi-target path gets none.
-        sorts = (
-            sortable
-            and mode == "values"
-            and output != "author/institution"
-            and rng.random() < 0.3
-        )
+        # SORTBY orders the returned items, so a member reaching several
+        # (author/institution) contributes each at its own place.
+        sorts = sortable and mode == "values" and rng.random() < 0.3
         if sorts:
             key = rng.choice(["name", "volume"]) if output == "venue" else "."
             direction = rng.choice(["ASCENDING", "DESCENDING"])
             inner += f" SORTBY({key} {direction})"
         body = f"{{{mode}({inner})}}" if mode != "values" else f"{{{inner}}}"
-        return body, mode, sorts
+        return body, mode
 
     def _constructor(
         self,
@@ -172,14 +166,12 @@ class QueryGenerator:
         literal text."""
         rng = self.rng
         if rng.random() < 0.5:
-            body, mode, _ = self._item(where, True, modes)
+            body, mode = self._item(where, True, modes)
             return f"<{tag}>{{{key}}}{body}</{tag}>", mode, True
         items: list[str] = []
         first_mode = ""
-        sortable = True
         for index in range(rng.randint(1, 3)):
-            body, mode, sorted_ = self._item(where, sortable, modes)
-            sortable = sortable and not sorted_  # one ordering list per GROUPBY
+            body, mode = self._item(where, True, modes)
             first_mode = first_mode or mode
             wrap = rng.random()
             if wrap < 0.2:
@@ -190,7 +182,7 @@ class QueryGenerator:
         translatable = True
         if rng.random() < 0.1:
             # One more list over a *different* join-plan pattern.
-            body, _, _ = self._item(where + ' AND $b/year != "1990"', False, ["values"])
+            body, _ = self._item(where + ' AND $b/year != "1990"', False, ["values"])
             items.append(body)
             translatable = False
         for _ in range(rng.choice([0, 1, 1, 1, 2])):

@@ -99,7 +99,7 @@ class TestPhysicalExecutor:
 
     def test_value_index_strategy_skips_value_lookups(self, store, indexes):
         _, grouped = plans(QUERY_COUNT)
-        store.reset_statistics()
+        store.reset_stats()
         result = self.executor(
             store, indexes, grouping_strategy="value-index"
         ).execute(grouped)
@@ -109,10 +109,10 @@ class TestPhysicalExecutor:
 
     def test_replicate_strategy_materializes_more(self, store, indexes):
         _, grouped = plans(QUERY_COUNT)
-        store.reset_statistics()
+        store.reset_stats()
         self.executor(store, indexes, grouping_strategy="sort").execute(grouped)
         sort_nodes = store.counters.nodes_materialized
-        store.reset_statistics()
+        store.reset_stats()
         self.executor(store, indexes, grouping_strategy="replicate").execute(grouped)
         replicate_nodes = store.counters.nodes_materialized
         assert replicate_nodes > sort_nodes  # the Sec. 5.3 strawman cost
@@ -121,7 +121,7 @@ class TestPhysicalExecutor:
         """Late materialization: COUNT never touches article subtrees —
         only the (leaf) group nodes are materialized for output."""
         _, grouped = plans(QUERY_COUNT)
-        store.reset_statistics()
+        store.reset_stats()
         result = self.executor(store, indexes).execute(grouped)
         assert store.counters.nodes_materialized == len(result)  # 1 per group
 

@@ -89,18 +89,18 @@ class TestCountSemantics:
         member subtree is ever materialized; only the two (leaf) group
         nodes are built for output."""
         query = grouped_query("count")
-        years_db.store.reset_statistics()
+        years_db.store.reset_stats()
         result = years_db.query(query, plan="groupby", reset_statistics=False)
-        stats = years_db.store.statistics()
+        stats = years_db.store.stats()
         assert stats["nodes_materialized"] == len(result.collection)
         # Basis (3 author occurrences) + group-node contents only.
         assert stats["value_lookups"] <= 6
 
     def test_aggregate_fetches_only_reached_values(self, years_db):
         query = grouped_query("sum")
-        years_db.store.reset_statistics()
+        years_db.store.reset_stats()
         result = years_db.query(query, plan="groupby", reset_statistics=False)
-        stats = years_db.store.statistics()
+        stats = years_db.store.stats()
         # No member subtrees: just one leaf group node per group.
         assert stats["nodes_materialized"] == len(result.collection)
 

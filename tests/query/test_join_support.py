@@ -93,7 +93,7 @@ class TestDescendPath:
     def test_no_data_access(self):
         store, indexes = setup(self.sample())
         articles = labels_of(indexes, "article")
-        store.reset_statistics()
+        store.reset_stats()
         descend_path(indexes, articles, ("author", "institution"))
         assert store.counters.record_lookups == 0
         assert store.counters.value_lookups == 0

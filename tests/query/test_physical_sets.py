@@ -45,7 +45,7 @@ class TestScanAndSelect:
     def test_select_is_identifier_only(self, store, indexes):
         executor = PhysicalExecutor(store, indexes)
         pattern = initial_pattern("doc_root", "article")
-        store.reset_statistics()
+        store.reset_stats()
         executor._run(select(scan("bib.xml"), pattern, {"$2"}))
         assert store.counters.value_lookups == 0
         assert store.counters.nodes_materialized == 0
@@ -56,7 +56,7 @@ class TestProjectionDeferral:
         executor = PhysicalExecutor(store, indexes)
         pattern = initial_pattern("doc_root", "article")
         plan = project(select(scan("bib.xml"), pattern, {"$2"}), pattern, ["$2*"])
-        store.reset_statistics()
+        store.reset_stats()
         result = executor._run(plan)
         assert isinstance(result, WitnessSet)
         assert result.projection_list == ("$2*",)
@@ -74,7 +74,7 @@ class TestDupelimKeys:
             pattern,
             "$2",
         )
-        store.reset_statistics()
+        store.reset_stats()
         result = executor._run(plan)
         assert isinstance(result, WitnessSet)
         assert len(result.matches) == 3  # Jack, John, Jill

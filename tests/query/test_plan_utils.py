@@ -27,7 +27,7 @@ def sample_plan() -> PlanNode:
     pattern = initial_pattern("doc_root", "article")
     gp = groupby_pattern("article", ("author",))
     base = project(select(scan("bib.xml"), pattern, {"$2"}), pattern, ["$2*"])
-    grouped = groupby(base, gp, ["$2"], [])
+    grouped = groupby(base, gp, ["$2"])
     return project_groups(grouped, TITLES)
 
 
@@ -90,7 +90,7 @@ class TestExplain:
             project(scan("d"), pattern, ["$2*"]),
             dupelim(scan("d"), pattern, "$2"),
             dupelim(scan("d")),
-            groupby(scan("d"), groupby_pattern("article", ("author",)), ["$2"], []),
+            groupby(scan("d"), groupby_pattern("article", ("author",)), ["$2"]),
             project_groups(scan("d"), TITLES),
             stitch(scan("d"), StitchSpec(TITLES, "$2", "$5")),
             rename_root(scan("d"), "t"),

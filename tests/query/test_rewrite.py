@@ -113,7 +113,6 @@ class TestRewrittenPlan:
         # Starred basis: the grouping element's subtree appears in the
         # output (Fig. 5.d's $4*).
         assert groupby.params["basis"] == ["$2*"]
-        assert groupby.params["ordering"] == []
 
     def test_nested_and_unnested_rewrite_identically(self):
         """Sec. 4.2: "After the rewrite optimization, the GROUPBY

@@ -81,16 +81,18 @@ class TestInterpreter:
 class TestTranslation:
     def test_ordering_recorded(self):
         query = recognize(parse_query(SORTED_QUERY))
-        assert query.ordering == ((("title",), "DESCENDING"),)
+        [leaf] = query.template.member_leaves()
+        assert leaf.path == ("title",)
+        assert leaf.ordering == (((".",), "DESCENDING"),)
 
     def test_ordering_reaches_groupby_plan(self):
         plan = rewrite(naive_plan(recognize(parse_query(SORTED_QUERY)), "doc_root"))
-        groupby = plan.find("groupby")[0]
-        # Ordering travels as (path, direction) pairs navigated per
-        # member — NOT as required pattern chains, which would exclude
-        # members lacking the sort path and drop whole groups.
-        assert groupby.params["ordering"] == [(("title",), "DESCENDING")]
-        pattern = groupby.params["pattern"]
+        [leaf] = plan.params["template"].member_leaves()
+        assert leaf.ordering == (((".",), "DESCENDING"),)
+        # Keys are navigated from each emitted item — NOT required
+        # pattern chains, which would exclude members lacking the sort
+        # path and drop whole groups.
+        pattern = plan.find("groupby")[0].params["pattern"]
         assert not pattern.has_node("$s0")
 
     def test_sortby_under_count_rejected(self):
@@ -135,3 +137,24 @@ class TestEngineAgreement:
             assert db.query(SORTED_QUERY, plan=mode).collection.structurally_equal(
                 reference
             ), mode
+
+    @pytest.mark.parametrize(
+        "returned",
+        ["$b/author SORTBY(. DESCENDING)", "$b/author/institution SORTBY(.)"],
+    )
+    def test_multi_valued_output_path_sorts_items(self, returned):
+        """SORTBY sorts the returned sequence: an article with several
+        authors contributes each one at its own place, not all of them
+        at its first author's place."""
+        from repro.datagen.dblp import DBLPConfig, generate_dblp
+        from repro.query.database import Database
+        from repro.xmlmodel.diff import diff_collections
+
+        config = DBLPConfig(n_articles=60, n_authors=15, seed=7, with_institutions=True)
+        db = Database()
+        db.load(tree=generate_dblp(config), name="bib.xml")
+        query = SORTED_QUERY.replace("$b/title SORTBY(. DESCENDING)", returned)
+        reference = db.query(query, plan="direct").collection
+        for mode in ("auto", "groupby", "naive", "naive-hash", "logical-naive", "logical-groupby"):
+            got = db.query(query, plan=mode).collection
+            assert diff_collections(reference, got) is None, mode

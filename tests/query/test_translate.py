@@ -174,6 +174,11 @@ TEMPLATE_RETURNS = {
     + INNER_TITLES.replace("}", " SORTBY(. DESCENDING)}")
     + INNER_YEARS
     + "</r>",
+    "two-sorted-lists": OUTER_FOR
+    + "RETURN <r>{$a}"
+    + INNER_TITLES.replace("}", " SORTBY(. DESCENDING)}")
+    + INNER_YEARS.replace("}", " SORTBY(.)}")
+    + "</r>",
     "let-wrapper": OUTER_FOR
     + LET_TITLES
     + 'RETURN <r kind="x">{$a} <c>{count($t)}</c> <l>{$t}</l></r>',
@@ -245,10 +250,17 @@ class TestOutputTemplate:
         finally:
             PhysicalExecutor._descend = original
 
-    def test_sorted_list_becomes_the_groupby_ordering(self):
+    def test_sorted_list_keeps_its_own_ordering(self):
+        """SORTBY sorts what its list emits, so it rides on that list's
+        leaf; the GROUPBY and every other leaf keep document order."""
         _, grouped = _small_db().plans_for(TEMPLATE_RETURNS["sorted-beside-unsorted"])
         [groupby] = grouped.find("groupby")
-        assert groupby.params["ordering"] == [(("title",), "DESCENDING")]
+        assert "ordering" not in groupby.params
+        template = grouped.find("project_groups")[0].params["template"]
+        assert [leaf.ordering for leaf in template.member_leaves()] == [
+            (((".",), "DESCENDING"),),
+            (),
+        ]
 
 
 # Decoration does not launder a body outside the family: each of these
@@ -335,11 +347,6 @@ class TestDecoratedReturnRefused:
         [
             ("{$a/institution}", "outer variable or a nested FLWR"),
             ('{"literal"}', "outer variable or a nested FLWR"),
-            (
-                INNER_TITLES.replace("}", " SORTBY(.)}")
-                + INNER_YEARS.replace("}", " SORTBY(.)}"),
-                "at most one RETURN item may carry a SORTBY",
-            ),
             (
                 "{count(" + INNER_TITLES[1:-1] + " SORTBY(.))}",
                 "SORTBY is meaningless under an aggregate",

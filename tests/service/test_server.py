@@ -237,3 +237,21 @@ def test_client_vanishing_mid_reply_marks_session_aborted(running_server):
     stats = running_server.stats()
     assert stats["server_connections_aborted"] >= 1
     assert stats["server_handler_crashes"] == 0
+
+
+def test_shutdown_wakes_the_accept_loop_at_once(running_server):
+    """shutdown() does not wait out serve_forever's poll interval."""
+    import time
+
+    from repro.service.server import serve
+
+    server = serve(running_server.service, port=0)
+    thread = server.serve_background()
+    time.sleep(0.05)  # the loop is parked in select()
+    started = time.perf_counter()
+    server.shutdown()
+    elapsed = time.perf_counter() - started
+    server.server_close()
+    thread.join(1.0)
+    assert not thread.is_alive()
+    assert elapsed < 0.05, elapsed

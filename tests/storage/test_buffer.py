@@ -157,3 +157,25 @@ class TestLifecycle:
         disk = DiskManager(None)
         with pytest.raises(BufferPoolError):
             BufferPool(disk, capacity=0)
+
+
+def test_starved_pool_rereads_pages(tmp_path):
+    """A3: from a cold cache, a pool too small for the working set reads
+    pages again (the paper fixed 32 MB of a 256 MB machine so the data
+    would not fit); one large enough reads each page once."""
+    from repro.datagen.dblp import DBLPConfig, generate_dblp
+    from repro.datagen.sample import QUERY_1
+    from repro.query.database import Database
+
+    directory = str(tmp_path / "db")
+    with Database(directory=directory) as db:
+        db.load(tree=generate_dblp(DBLPConfig(n_articles=200, n_authors=40, seed=7)), name="bib.xml")
+        n_pages = db.store.disk.n_pages
+    reads = {}
+    for frames in (2, 64):
+        with Database(directory=directory, pool_frames=frames) as db:
+            db.store.pool.clear()
+            result = db.query(QUERY_1, plan="groupby")
+            reads[frames] = (result.statistics["physical_reads"], len(result))
+    assert reads[2][1] == reads[64][1]
+    assert reads[64][0] <= n_pages < reads[2][0]

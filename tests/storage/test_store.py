@@ -161,30 +161,30 @@ class TestPersistence:
 
 class TestStatistics:
     def test_record_lookup_counted(self, store):
-        store.reset_statistics()
+        store.reset_stats()
         store.record(0)
         store.record(1)
         assert store.counters.record_lookups == 2
 
     def test_value_lookup_counted(self, store):
-        store.reset_statistics()
+        store.reset_stats()
         store.content(1)
         assert store.counters.value_lookups == 1
 
     def test_materialize_counts_nodes(self, store):
         info = store.document("bib.xml")
-        store.reset_statistics()
+        store.reset_stats()
         store.materialize(info.root_nid)
         assert store.counters.nodes_materialized == info.n_nodes
 
     def test_statistics_merge_keys(self, store):
-        stats = store.statistics()
+        stats = store.stats()
         for key in ("record_lookups", "hits", "misses", "physical_reads"):
             assert key in stats
 
     def test_reset_clears_everything(self, store):
         store.record(0)
-        store.reset_statistics()
+        store.reset_stats()
         assert store.counters.record_lookups == 0
         assert store.pool.counters.requests == 0
 

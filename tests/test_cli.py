@@ -1,6 +1,5 @@
 """CLI tests (argument wiring and end-to-end subcommands)."""
 
-import json
 import os
 
 import pytest
@@ -202,52 +201,11 @@ class TestServe:
                 process.wait(timeout=10.0)
 
 
-class TestExperiments:
-    def test_e1(self, capsys):
-        assert main(["experiment", "e1", "--articles", "40", "--authors", "15"]) == 0
-        out = capsys.readouterr().out
-        assert "E1 titles-by-author" in out
-
-    def test_a2(self, capsys):
-        assert main(["experiment", "a2", "--articles", "40", "--authors", "15"]) == 0
-        out = capsys.readouterr().out
-        assert "A2 grouping strategies" in out
-
-    def test_e3_scaling(self, capsys):
-        assert main(["experiment", "e3", "--articles", "40", "--authors", "15"]) == 0
-        out = capsys.readouterr().out
-        assert "E3 scaling sweep" in out
-
-    def test_a1_match_strategies(self, capsys):
-        assert main(["experiment", "a1", "--articles", "40", "--authors", "15"]) == 0
-        assert "A1 match strategies" in capsys.readouterr().out
-
-    def test_a3_buffer_pool(self, capsys):
-        assert main(["experiment", "a3", "--articles", "40", "--authors", "15"]) == 0
-        assert "A3 buffer pool" in capsys.readouterr().out
-
-    def test_unknown_experiment_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["experiment", "zz"])
-
-    def test_experiment_leaves_cwd_untouched(self, tmp_path, monkeypatch, capsys):
-        """Hermetic by default: no trajectory (or anything else) is
-        written unless ``--record`` asks for it."""
-        monkeypatch.chdir(tmp_path)
-        assert main(["experiment", "e1", "--articles", "40", "--authors", "15"]) == 0
-        assert list(tmp_path.iterdir()) == []
-        assert "trajectory written" not in capsys.readouterr().err
-
-    def test_record_writes_trajectory_to_path(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        target = tmp_path / "out" / "run.json"
-        target.parent.mkdir()
-        argv = ["experiment", "e1", "--articles", "40", "--authors", "15"]
-        assert main(argv + ["--record", str(target)]) == 0
-        assert [path.name for path in tmp_path.iterdir()] == ["out"]
-        entries = json.loads(target.read_text())["entries"]
-        assert "groupby" in {entry["bench"] for entry in entries}
-        assert f"trajectory written to {target}" in capsys.readouterr().err
+def test_experiment_subcommand_rejected():
+    """The paper's evaluation lives in the tier-1 counter tests and the
+    repository benchmark; there is no ``experiment`` subcommand."""
+    with pytest.raises(SystemExit):
+        main(["experiment", "e1"])
 
 
 class TestVerifyRepair:

@@ -9,8 +9,7 @@ import os
 
 import pytest
 
-from repro.bench.harness import build_database, measured_run
-from repro.datagen.dblp import DBLPConfig
+from repro.datagen.dblp import DBLPConfig, generate_dblp_with_profile
 from repro.datagen.sample import QUERY_1, QUERY_COUNT
 from repro.query.database import Database
 from repro.xmlmodel.diff import assert_collections_equal
@@ -22,7 +21,9 @@ SCALE = DBLPConfig(n_articles=3000, n_authors=800, seed=7)
 class TestFullScale:
     @pytest.fixture(scope="class")
     def big_db(self):
-        db, profile = build_database(SCALE)
+        tree, profile = generate_dblp_with_profile(SCALE)
+        db = Database()
+        db.load(tree=tree, name="bib.xml")
         return db, profile
 
     def test_load_and_index(self, big_db):
@@ -33,9 +34,9 @@ class TestFullScale:
 
     def test_e1_shape_holds(self, big_db):
         db, _ = big_db
-        hash_run = measured_run(db, "hash", QUERY_1, "naive-hash")
-        group_run = measured_run(db, "groupby", QUERY_1, "groupby")
-        assert group_run.result_size == hash_run.result_size
+        hash_run = db.query(QUERY_1, plan="naive-hash")
+        group_run = db.query(QUERY_1, plan="groupby")
+        assert len(group_run) == len(hash_run)
         assert (
             group_run.statistics["value_lookups"]
             < hash_run.statistics["value_lookups"]
@@ -43,15 +44,15 @@ class TestFullScale:
 
     def test_e2_shape_holds(self, big_db):
         db, _ = big_db
-        hash_run = measured_run(db, "hash", QUERY_COUNT, "naive-hash")
-        group_run = measured_run(db, "groupby", QUERY_COUNT, "groupby")
+        hash_run = db.query(QUERY_COUNT, plan="naive-hash")
+        group_run = db.query(QUERY_COUNT, plan="groupby")
         # Groupby pays per-pair basis lookups + per-group output nodes;
         # the direct baseline additionally dedups all author occurrences.
         assert group_run.statistics["value_lookups"] < (
             hash_run.statistics["value_lookups"]
         )
         # Only the (leaf) author group nodes are materialized.
-        assert group_run.statistics["nodes_materialized"] == group_run.result_size
+        assert group_run.statistics["nodes_materialized"] == len(group_run)
 
     def test_engines_agree_at_scale(self, big_db):
         db, _ = big_db
